@@ -1,12 +1,11 @@
 """Residuated extended-real arithmetic, piecewise-linear convex calculus,
-and set-valued duality over polyhedral lattices.
+and closed convex polyhedra in the plane.
 
 The package is organized bottom-up: ``extreal`` carries the two scalar
 image spaces, ``groupoid`` checks the residuation existence theorems on
 finite ordered structures, ``functions``/``calculus`` do one-variable
 piecewise-linear convex analysis with extended-real values, and
-``poly2``/``setvalued`` lift the same calculus to lattices of polyhedral
-sets in the plane.
+``poly2`` represents closed convex polyhedra and cones in the plane.
 """
 
 __version__ = "0.1.0"

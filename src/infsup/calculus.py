@@ -83,8 +83,6 @@ def dirderiv(g, x0, x):
     if v0.is_top:
         return UpReal.bottom()
     if v0.is_bottom:
-        if isinstance(g, ConstBottom):
-            return UpReal.bottom()
         lo, hi = g.dom()
         if x == 0:
             return UpReal.bottom()
@@ -210,10 +208,8 @@ def _sup_linear_minus(g, a):
     is attained at a breakpoint.  Functions with a Bottom point push the
     sup to +inf; the empty-domain function leaves it at -inf.
     """
-    if isinstance(g, ConstTop):
-        return -INF
-    if isinstance(g, (ConstBottom, ImproperSplit)):
-        return INF
+    if isinstance(g, ImproperSplit):
+        return -INF if g.dom() is None else INF
     if not isinstance(g, PLProper):
         raise TypeError(f"not an up-space function: {type(g).__name__}")
     if g.dom_lo == -INF and a < g.slope_left:
@@ -329,12 +325,10 @@ def conjugate_curve(g):
     a non-convex g without affine minorants, which matches the rule
     that conjugation sees only the closed convex hull).
     """
-    if isinstance(g, ConstTop):
-        curve = ConstBottom()
-    elif isinstance(g, (ConstBottom, ImproperSplit)):
-        curve = ConstTop()
-    elif isinstance(g, PLProper):
+    if isinstance(g, PLProper):
         curve = _pl_legendre(g)
+    elif isinstance(g, ImproperSplit):
+        curve = ConstBottom() if g.dom() is None else ConstTop()
     else:
         raise TypeError(f"not an up-space function: {type(g).__name__}")
     return ConjugateCurve(curve=curve, base_dom=g.dom())
@@ -363,7 +357,7 @@ def young_fenchel_check(g, xi, r, x):
 
 
 # ---------------------------------------------------------------------------
-# Affine minorant conditions (the five equivalent tests plus the hat rule).
+# Affine minorant conditions.
 # ---------------------------------------------------------------------------
 
 
@@ -372,12 +366,14 @@ class MinorantReport:
     """Joint evaluation of the equivalent minorant conditions for (xi, r).
 
     (a) the pointwise inequality; (b) sup of the up-differences <= 0;
-    (c) the same sup computed through the down-sum identity
-    p up-minus q = p down-plus (-q), so it shares (b)'s value; (d) inf
-    of the reversed down-differences >= 0; (e) the same inf through the
-    up-sum identity; (f) the hat domain-inclusion test, None for proper
-    elements.  For a hat that is a minorant the sup collapses to Bottom
-    and the inf to Top.
+    (d) inf of the reversed down-differences >= 0; (f) the hat
+    domain-inclusion test, None for proper elements.  For a hat that is
+    a minorant the sup collapses to Bottom and the inf to Top.
+    Conditions (c) and (e) take the same sup and inf through the
+    identity p up-minus q = p down-plus (-q) and its mirror for the
+    down-difference, so they equal (b) and (d) by that identity and are
+    not evaluated again; ``all_agree`` compares only the conditions
+    evaluated here.
     """
 
     a_pointwise: bool
@@ -390,20 +386,12 @@ class MinorantReport:
         return self.sup_dif <= UpReal(0.0)
 
     @property
-    def c_holds(self):
-        return self.b_holds
-
-    @property
     def d_holds(self):
         return self.inf_dif >= DownReal(0.0)
 
     @property
-    def e_holds(self):
-        return self.d_holds
-
-    @property
     def all_agree(self):
-        vals = [self.a_pointwise, self.b_holds, self.c_holds, self.d_holds, self.e_holds]
+        vals = [self.a_pointwise, self.b_holds, self.d_holds]
         if self.dom_included is not None:
             vals.append(self.dom_included)
         return len(set(vals)) == 1
@@ -445,12 +433,13 @@ def hat_minorant_witness(g):
     halfline, and the hat cutting along that halfline lies below g
     everywhere.
     """
-    if isinstance(g, ConstTop):
-        return AffineDual(DualElem.hat(1.0), 0.0)
-    if isinstance(g, ImproperSplit):
-        if g.hi < INF:
-            return AffineDual(DualElem.hat(1.0), g.hi)
-        return AffineDual(DualElem.hat(-1.0), -g.lo)
+    if isinstance(g, ImproperSplit) and g.dom() != (-INF, INF):
+        d = g.dom()
+        if d is None:
+            return AffineDual(DualElem.hat(1.0), 0.0)
+        if d[1] < INF:
+            return AffineDual(DualElem.hat(1.0), d[1])
+        return AffineDual(DualElem.hat(-1.0), -d[0])
     raise ValueError(
         "witness exists for functions taking only infinite values with a proper domain"
     )
@@ -495,18 +484,14 @@ def infconv(f, g):
             raise TypeError("infconv expects up-space functions")
         if not h.is_convex():
             raise ValueError("infconv requires convex operands")
-    if isinstance(f, ConstTop) or isinstance(g, ConstTop):
+    if isinstance(f, PLProper) and isinstance(g, PLProper):
+        s = _pl_add(_pl_legendre(f), _pl_legendre(g))
+        return ConstBottom() if s is None else _pl_legendre(s)
+    df, dg = f.dom(), g.dom()
+    if df is None or dg is None:
         return ConstTop()
-    if isinstance(f, ConstBottom) or isinstance(g, ConstBottom):
-        return ConstBottom()
-    if isinstance(f, ImproperSplit) or isinstance(g, ImproperSplit):
-        lof, hif = f.dom()
-        log_, hig = g.dom()
-        return improper_split(lof + log_, hif + hig)
-    s = _pl_add(_pl_legendre(f), _pl_legendre(g))
-    if s is None:
-        return ConstBottom()
-    return _pl_legendre(s)
+    # a left end is never +inf nor a right end -inf, so the sums are defined
+    return improper_split(df[0] + dg[0], df[1] + dg[1])
 
 
 @dataclass(frozen=True)
@@ -577,11 +562,9 @@ def biconjugate(g):
     identically Bottom (no affine minorant).
     """
     cc = conjugate_curve(g)
-    if isinstance(cc.curve, ConstBottom):
-        return ConstTop()
     if isinstance(cc.curve, PLProper):
         return _pl_legendre(cc.curve)
-    # no proper affine minorant: only the hat branch remains
+    # g is empty or has no proper affine minorant: only the hat branch remains
     d = g.dom()
     if d is None:
         return ConstTop()

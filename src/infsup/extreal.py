@@ -234,46 +234,31 @@ def scale(t, a):
     return type(a)(t * a.v)
 
 
-def inf_up(ms) -> UpReal:
-    """Infimum of a finite collection; empty collection gives Top."""
+def _extremum(cls, pick, empty, ms, op):
+    """``pick`` (min or max) of a finite collection of ``cls`` values, ``empty`` if none."""
     vs = []
     for m in ms:
-        _want(UpReal, m, "inf_up")
+        _want(cls, m, op)
         vs.append(m.v)
-    if not vs:
-        return UpReal.top()
-    return UpReal(min(vs))
+    return cls(pick(vs, default=empty))
+
+
+def inf_up(ms) -> UpReal:
+    """Infimum of a finite collection; empty collection gives Top."""
+    return _extremum(UpReal, min, math.inf, ms, "inf_up")
 
 
 def sup_up(ms) -> UpReal:
     """Supremum of a finite collection; empty collection gives Bottom."""
-    vs = []
-    for m in ms:
-        _want(UpReal, m, "sup_up")
-        vs.append(m.v)
-    if not vs:
-        return UpReal.bottom()
-    return UpReal(max(vs))
+    return _extremum(UpReal, max, -math.inf, ms, "sup_up")
 
 
 def inf_down(ms) -> DownReal:
-    vs = []
-    for m in ms:
-        _want(DownReal, m, "inf_down")
-        vs.append(m.v)
-    if not vs:
-        return DownReal.top()
-    return DownReal(min(vs))
+    return _extremum(DownReal, min, math.inf, ms, "inf_down")
 
 
 def sup_down(ms) -> DownReal:
-    vs = []
-    for m in ms:
-        _want(DownReal, m, "sup_down")
-        vs.append(m.v)
-    if not vs:
-        return DownReal.bottom()
-    return DownReal(max(vs))
+    return _extremum(DownReal, max, -math.inf, ms, "sup_down")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Extended-real-valued functions of one real variable.
 
-Four representations cover every closed convex function into the up
-space and enough non-convex ones to exercise the hull machinery:
+Two classes cover every closed convex function into the up space and
+enough non-convex ones to exercise the hull machinery:
 
 * ``PLProper``: piecewise linear, finite on a closed interval domain
   (possibly unbounded), Top outside.  Canonical form folds finite
@@ -9,8 +9,9 @@ space and enough non-convex ones to exercise the hull machinery:
   exactly when the domain is unbounded on that side.
 * ``ImproperSplit``: Bottom on a closed interval, Top off it.  Closed
   improper convex functions take only infinite values, and on the line
-  they look exactly like this.
-* ``ConstTop`` / ``ConstBottom``: the two constants.
+  they look exactly like this.  The interval may be empty or the whole
+  line; those two cases carry the names ``ConstTop`` and
+  ``ConstBottom``.
 
 The down space is reached through negation: a ``DownFunction`` stores
 the up-space mirror of its pointwise negation, which keeps the two
@@ -26,6 +27,7 @@ but deliberately not additive.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .extreal import (
     DownReal,
@@ -53,6 +55,28 @@ def _require_finite(x, what):
     return x
 
 
+def _piece(xs, x):
+    """Index of the piece of the breakpoint list ``xs`` that holds x.
+
+    Piece i runs from xs[i] up to (not including) xs[i + 1]; -1 is the
+    ray left of xs[0] and len(xs) - 1 the ray from xs[-1] on.
+    """
+    return bisect_right(xs, x) - 1
+
+
+def _pl_value(xs, vs, slope_left, slope_right, x):
+    """Value at x of breakpoint data extended by the end slopes; exact at breakpoints."""
+    i = _piece(xs, x)
+    if i < 0:
+        return vs[0] + slope_left * (x - xs[0])
+    if x == xs[i]:
+        return vs[i]
+    if i == len(xs) - 1:
+        return vs[-1] + slope_right * (x - xs[-1])
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return vs[i] + t * (vs[i + 1] - vs[i])
+
+
 class UpFunction:
     """Base for the up-space representations; use the concrete classes."""
 
@@ -73,43 +97,12 @@ class UpFunction:
         return hash(type(self).__name__)
 
 
-class ConstTop(UpFunction):
-    """Identically Top; the function with empty domain."""
-
-    def eval(self, x):
-        _require_finite(x, "x")
-        return UpReal.top()
-
-    def dom(self):
-        return None
-
-    def is_convex(self):
-        return True
-
-    def __repr__(self):
-        return "ConstTop()"
-
-
-class ConstBottom(UpFunction):
-    def eval(self, x):
-        _require_finite(x, "x")
-        return UpReal.bottom()
-
-    def dom(self):
-        return (-INF, INF)
-
-    def is_convex(self):
-        return True
-
-    def __repr__(self):
-        return "ConstBottom()"
-
-
 class ImproperSplit(UpFunction):
     """Bottom on the closed interval [lo, hi] (intersected with the reals), Top off it.
 
-    Construct through :func:`improper_split`, which canonicalizes the
-    empty interval to ConstTop and the whole line to ConstBottom.
+    ``lo > hi`` is the empty interval, where the function is identically
+    Top.  Construct through :func:`improper_split`, which canonicalizes
+    the empty interval to ConstTop and the whole line to ConstBottom.
     """
 
     def __init__(self, lo, hi):
@@ -132,13 +125,33 @@ class ImproperSplit(UpFunction):
         return UpReal.top()
 
     def dom(self):
-        return (self.lo, self.hi)
+        return None if self.lo > self.hi else (self.lo, self.hi)
 
     def is_convex(self):
         return True
 
     def __repr__(self):
         return f"ImproperSplit({self.lo}, {self.hi})"
+
+
+class ConstTop(ImproperSplit):
+    """Identically Top; the function with empty domain."""
+
+    def __init__(self):
+        self.lo, self.hi = INF, -INF
+
+    def __repr__(self):
+        return "ConstTop()"
+
+
+class ConstBottom(ImproperSplit):
+    """Identically Bottom; the split over the whole line."""
+
+    def __init__(self):
+        self.lo, self.hi = -INF, INF
+
+    def __repr__(self):
+        return "ConstBottom()"
 
 
 def improper_split(lo, hi):
@@ -230,28 +243,13 @@ class PLProper(UpFunction):
         if dom_lo > dom_hi:
             raise ValueError(f"empty domain [{dom_lo}, {dom_hi}]")
 
-        def chord(i):
-            return (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-
         def value_at(x):
-            # piecewise value of the raw data at a point inside [xs0, xsn]
-            # or extrapolated by the end slopes
-            if x <= xs[0]:
-                if x == xs[0]:
-                    return vs[0]
-                if slope_left is None:
-                    raise ValueError("dom_lo below the first breakpoint needs slope_left")
-                return vs[0] + float(slope_left) * (x - xs[0])
-            if x >= xs[-1]:
-                if x == xs[-1]:
-                    return vs[-1]
-                if slope_right is None:
-                    raise ValueError("dom_hi above the last breakpoint needs slope_right")
-                return vs[-1] + float(slope_right) * (x - xs[-1])
-            for i in range(len(xs) - 1):
-                if xs[i] <= x <= xs[i + 1]:
-                    return vs[i] + chord(i) * (x - xs[i])
-            raise AssertionError("unreachable")
+            # the raw data's value, extrapolated by the end slopes
+            if x < xs[0] and slope_left is None:
+                raise ValueError("dom_lo below the first breakpoint needs slope_left")
+            if x > xs[-1] and slope_right is None:
+                raise ValueError("dom_hi above the last breakpoint needs slope_right")
+            return _pl_value(xs, vs, slope_left, slope_right, x)
 
         sl, sr = slope_left, slope_right
         if math.isfinite(dom_lo):
@@ -300,27 +298,7 @@ class PLProper(UpFunction):
         x = _require_finite(x, "x")
         if x < self.dom_lo or x > self.dom_hi:
             return UpReal.top()
-        return UpReal(self._finite_value(x))
-
-    def _finite_value(self, x):
-        xs, vs = self.xs, self.vs
-        if x <= xs[0]:
-            if x == xs[0]:
-                return vs[0]
-            return vs[0] + self.slope_left * (x - xs[0])
-        if x >= xs[-1]:
-            if x == xs[-1]:
-                return vs[-1]
-            return vs[-1] + self.slope_right * (x - xs[-1])
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        t = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
-        return vs[lo] + t * (vs[lo + 1] - vs[lo])
+        return UpReal(_pl_value(self.xs, self.vs, self.slope_left, self.slope_right, x))
 
     def dom(self):
         return (self.dom_lo, self.dom_hi)
@@ -346,20 +324,23 @@ class PLProper(UpFunction):
         s = self.all_slopes()
         return all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:]))
 
+    def _piece_slope(self, i):
+        if i < 0:
+            return self.slope_left
+        if i == len(self.xs) - 1:
+            return self.slope_right
+        return (self.vs[i + 1] - self.vs[i]) / (self.xs[i + 1] - self.xs[i])
+
     def slope_before(self, x0):
         """Slope immediately to the left of x0, or None at/below a bounded left end."""
         if x0 <= self.dom_lo:
             return None if self.dom_lo > -INF or x0 < self.dom_lo else self.slope_left
         if x0 > self.dom_hi:
             return None
-        if x0 <= self.xs[0]:
-            return self.slope_left
-        if x0 > self.xs[-1]:
-            return self.slope_right
-        for i in range(len(self.xs) - 1):
-            if self.xs[i] < x0 <= self.xs[i + 1]:
-                return self.segment_slopes()[i]
-        raise AssertionError("unreachable")
+        i = _piece(self.xs, x0)
+        if i >= 0 and self.xs[i] == x0:
+            i -= 1  # a breakpoint starts its piece, so the one before it is to the left
+        return self._piece_slope(i)
 
     def slope_after(self, x0):
         """Slope immediately to the right of x0, or None at/above a bounded right end."""
@@ -367,14 +348,7 @@ class PLProper(UpFunction):
             return None if self.dom_hi < INF or x0 > self.dom_hi else self.slope_right
         if x0 < self.dom_lo:
             return None
-        if x0 >= self.xs[-1]:
-            return self.slope_right
-        if x0 < self.xs[0]:
-            return self.slope_left
-        for i in range(len(self.xs) - 1):
-            if self.xs[i] <= x0 < self.xs[i + 1]:
-                return self.segment_slopes()[i]
-        raise AssertionError("unreachable")
+        return self._piece_slope(_piece(self.xs, x0))
 
     def __repr__(self):
         pieces = ", ".join(f"({x:g},{v:g})" for x, v in zip(self.xs, self.vs))
@@ -486,10 +460,6 @@ def fn_allclose(f, g, tol=1e-9):
             return a == b
         return abs(a - b) <= tol
 
-    if isinstance(f, ConstTop):
-        return isinstance(g, ConstTop)
-    if isinstance(f, ConstBottom):
-        return isinstance(g, ConstBottom)
     if isinstance(f, ImproperSplit):
         return isinstance(g, ImproperSplit) and close(f.lo, g.lo) and close(f.hi, g.hi)
     if isinstance(f, PLProper):
@@ -516,7 +486,7 @@ def fn_allclose(f, g, tol=1e-9):
 def closure_hull(f):
     """Closed convex hull: the function whose epigraph is cl co(epi f).
 
-    For the improper variants the representation is already closed and
+    An improper function's representation is already closed and
     convex.  For a piecewise-linear proper function the hull is the
     supremum of all affine minorants a*x + b.  A slope a admits a
     minorant iff it respects the infinite rays (a >= slope_left when the
@@ -529,7 +499,7 @@ def closure_hull(f):
     window; an empty window means no affine minorant exists at all and
     the hull collapses to ConstBottom.
     """
-    if isinstance(f, (ConstTop, ConstBottom, ImproperSplit)):
+    if isinstance(f, ImproperSplit):
         return f
     if not isinstance(f, PLProper):
         raise TypeError(f"not an up-space function: {type(f).__name__}")

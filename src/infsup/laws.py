@@ -16,7 +16,6 @@ from . import extreal as xr
 from .functions import (
     ConstBottom,
     ConstTop,
-    ImproperSplit,
     PLProper,
     improper_split,
 )
@@ -26,8 +25,11 @@ SLOPE_GRID = np.arange(-5.0, 5.5, 0.5)
 
 
 def random_ext_values(rng, n, inf_prob=0.25):
-    """Array of extended reals; each tail gets probability inf_prob/2... no,
-    each operand is +inf or -inf with probability inf_prob each."""
+    """Array of n extended reals on a quarter grid in [-20, 20].
+
+    Each entry is +inf with probability inf_prob and -inf with
+    probability inf_prob (inf_prob <= 0.5), finite otherwise.
+    """
     vals = np.round(rng.uniform(-20, 20, size=n) * 4) / 4
     kind = rng.random(n)
     vals[kind < inf_prob] = np.inf

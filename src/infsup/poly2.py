@@ -669,8 +669,6 @@ def _canon_wedge(chain, rays):
     last = (n_out, _dot(n_out, chain[-1]))
     if not any(_close(last[0], n) and abs(last[1] - c) <= 1e-9 for n, c in hs):
         hs.append(last)
-    if len(rays) == 1 and not _close(hs[0][0], n_out):
-        pass
     return ConvexPoly2(
         empty=False, hs=tuple(hs), verts=tuple(chain), rays=tuple(rays)
     )

@@ -524,7 +524,7 @@ class TestInfconv:
 
     def test_split_with_split(self):
         out = infconv(improper_split(0.0, 1.0), improper_split(2.0, 3.0))
-        assert isinstance(out, ImproperSplit)
+        assert type(out) is ImproperSplit
         assert out.dom() == (2.0, 4.0)
 
     def test_opposite_rays_collapse(self):
@@ -634,6 +634,26 @@ class TestBiconjugate:
         assert isinstance(biconjugate(ConstBottom()), ConstBottom)
         out = biconjugate(improper_split(0.0, 5.0))
         assert fn_allclose(out, improper_split(0.0, 5.0), 0.0)
+
+
+def test_outputs_name_their_improper_case():
+    # readers that dispatch on the class name (bench/oracles.py does)
+    # need ConstTop to be the only empty function and ConstBottom the
+    # only improper one on the whole line
+    rng = np.random.default_rng(1011)
+    convex = [random_closed_convex_fn(rng) for _ in range(80)]
+    nonconvex = [random_nonconvex_pl(rng) for _ in range(40)]
+    outs = []
+    for f in convex + nonconvex:
+        outs += [closure_hull(f), conjugate_curve(f).curve, biconjugate(f)]
+    partners = convex + [closure_hull(f) for f in nonconvex]
+    outs += [infconv(f, g) for f, g in zip(partners, partners[1:] + partners[:1])]
+    names = [type(out).__name__ for out in outs]
+    assert set(names) == {"PLProper", "ImproperSplit", "ConstTop", "ConstBottom"}
+    for name, out in zip(names, outs):
+        assert (name == "ConstTop") == (out.dom() is None), out
+        if name != "PLProper":
+            assert (name == "ConstBottom") == (out.dom() == (-INF, INF)), out
 
 
 # ---------------------------------------------------------------------------

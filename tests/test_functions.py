@@ -135,6 +135,64 @@ def test_make_point_domain():
     assert f.eval(0.6) == TOP
 
 
+def test_make_keeps_value_at_bound_on_a_breakpoint():
+    # a finite bound on a raw breakpoint takes that breakpoint's value,
+    # not the left chord re-evaluated there (0.7000000000000001)
+    f = PLProper.make([(0.0, 0.0), (0.3, 0.7), (5.0, 0.0)], slope_right=1.0, dom_lo=0.3)
+    assert f.xs[0] == 0.3 and f.vs[0] == 0.7
+
+
+def _reference_slopes(f, x):
+    """(slope before x, slope after x) by a linear scan over the pieces."""
+    pieces = list(zip(f.xs, f.xs[1:], f.segment_slopes()))
+    if f.slope_left is not None:
+        pieces.insert(0, (-INF, f.xs[0], f.slope_left))
+    if f.slope_right is not None:
+        pieces.append((f.xs[-1], INF, f.slope_right))
+    before = next((s for a, b, s in pieces if a < x <= b), None)
+    after = next((s for a, b, s in pieces if a <= x < b), None)
+    return before, after
+
+
+def _float_pl(xs, vs, left_bounded, right_bounded, slope_left=-1.7, slope_right=0.9):
+    return PLProper(
+        xs,
+        vs,
+        slope_left=None if left_bounded else slope_left,
+        slope_right=None if right_bounded else slope_right,
+        dom_lo=xs[0] if left_bounded else -INF,
+        dom_hi=xs[-1] if right_bounded else INF,
+    )
+
+
+def _slope_probes(f):
+    """Every breakpoint and midpoint, and points just inside and outside each end."""
+    xs = f.xs
+    pts = set(xs) | {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    for e in (xs[0], xs[-1]):
+        pts |= {math.nextafter(e, -INF), math.nextafter(e, INF), e - 1.0, e + 1.0}
+    return sorted(pts)
+
+
+def test_one_sided_slopes_match_segment_slopes():
+    rng = np.random.default_rng(77)
+    fns = []
+    for left_bounded in (False, True):
+        for right_bounded in (False, True):
+            fns.append(_float_pl([-2.7, -0.3, 0.1, 1.9, 3.3], [1.1, -0.7, 0.45, 2.2, -1.3],
+                                 left_bounded, right_bounded))
+            fns.append(_float_pl([0.3], [1.1], left_bounded, right_bounded))
+    for _ in range(40):
+        k = int(rng.integers(1, 7))
+        xs = sorted(set(rng.uniform(-10.0, 10.0, size=k).tolist()))
+        vs = rng.uniform(-10.0, 10.0, size=len(xs)).tolist()
+        sl, sr = rng.uniform(-5.0, 5.0, size=2).tolist()
+        fns.append(_float_pl(xs, vs, rng.random() < 0.5, rng.random() < 0.5, sl, sr))
+    for f in fns:
+        for x in _slope_probes(f):
+            assert (f.slope_before(x), f.slope_after(x)) == _reference_slopes(f, x), (f, x)
+
+
 def test_constructor_rejects_bad_data():
     with pytest.raises(ValueError):
         PLProper([0.0, 0.0], [1.0, 2.0], slope_left=0.0, slope_right=0.0)
@@ -155,7 +213,7 @@ def test_constructor_rejects_bad_data():
 def test_improper_split_factory_canonicalizes():
     assert isinstance(improper_split(3.0, 2.0), ConstTop)
     assert isinstance(improper_split(-INF, INF), ConstBottom)
-    assert isinstance(improper_split(2.0, 2.0), ImproperSplit)
+    assert type(improper_split(2.0, 2.0)) is ImproperSplit
     assert isinstance(improper_split(INF, INF), ConstTop)
     with pytest.raises(ValueError):
         ImproperSplit(3.0, 2.0)
