@@ -10,11 +10,14 @@ The conjugate machinery rests on one primitive, the exact transform of
 a piecewise-linear function h into w -> sup_u (w*u - h(u)): the sup is
 Top outside the slope window set by h's infinite rays and otherwise is
 the upper envelope of the lines w -> x_i*w - v_i through h's
-breakpoints.  The transform is applied twice for biconjugation, and the
-infimal convolution of proper functions is the inverse transform of the
-sum of the two conjugate curves (exact here: piecewise-linear convex
-functions are polyhedral, so the infimum in the convolution is attained
-and the result is closed).
+breakpoints.  The transform is applied twice for biconjugation.
+
+The infimal convolution of proper functions does not go through the
+transform: its epigraph is the Minkowski sum of the two epigraphs, so
+its graph is the two edge lists merged by slope (exact here:
+piecewise-linear convex functions are polyhedral, so the infimum in the
+convolution is attained and the result is closed).  The conjugate of a
+convolution is therefore an independent check on it.
 """
 
 from __future__ import annotations
@@ -450,22 +453,48 @@ def hat_minorant_witness(g):
 # ---------------------------------------------------------------------------
 
 
-def _pl_add(p, q):
-    """Exact sum of two PLProper functions, or None if the domains miss."""
-    lo = max(p.dom_lo, q.dom_lo)
-    hi = min(p.dom_hi, q.dom_hi)
-    if lo > hi:
-        return None
-    pts = {x for x in p.xs + q.xs if lo <= x <= hi}
-    if math.isfinite(lo):
-        pts.add(lo)
-    if math.isfinite(hi):
-        pts.add(hi)
-    pts = sorted(pts)
-    vals = [p.eval(x).value + q.eval(x).value for x in pts]
-    sl = p.slope_left + q.slope_left if lo == -INF else None
-    sr = p.slope_right + q.slope_right if hi == INF else None
-    return PLProper.make(list(zip(pts, vals)), sl, sr, dom_lo=lo, dom_hi=hi)
+def _epigraph_sum(f, g):
+    """The PLProper with epigraph epi f + epi g, or ConstBottom if that has no floor.
+
+    The sum of two convex epigraphs has affine minorants with the slopes
+    in [L, R]: L is the largest left ray slope and R the smallest right
+    ray slope (-inf and +inf when both operands are bounded on that
+    side).  Its left ray ends at the sum of the operands' rightmost
+    points of support for slope L, and its graph then runs through the
+    operands' chords with slopes below R in increasing slope order, one
+    operand advancing per vertex.  No such slope (L > R) means the sum
+    contains whole vertical lines, so the convolution is Bottom.
+    """
+    lo, hi = f.dom_lo + g.dom_lo, f.dom_hi + g.dom_hi
+    L = max((h.slope_left for h in (f, g) if h.dom_lo == -INF), default=-INF)
+    R = min((h.slope_right for h in (f, g) if h.dom_hi == INF), default=INF)
+    if L > R:
+        return ConstBottom()
+    xf, vf, xg, vg = f.xs, f.vs, g.xs, g.vs
+    # a +inf sentinel stands for "no chord left" at each operand's last vertex;
+    # the walk advances the flatter next chord while it is flatter than R
+    sf, sg = f.segment_slopes() + [INF], g.segment_slopes() + [INF]
+    i = next(k for k, s in enumerate(sf) if s > L)
+    j = next(k for k, s in enumerate(sg) if s > L)
+    xs, vs = [xf[i] + xg[j]], [vf[i] + vg[j]]
+    while True:
+        if sf[i] <= sg[j]:
+            if sf[i] >= R:
+                break
+            i += 1
+        else:
+            if sg[j] >= R:
+                break
+            j += 1
+        xs.append(xf[i] + xg[j])
+        vs.append(vf[i] + vg[j])
+    return PLProper.make(
+        zip(xs, vs),
+        slope_left=L if lo == -INF else None,
+        slope_right=R if hi == INF else None,
+        dom_lo=lo,
+        dom_hi=hi,
+    )
 
 
 def infconv(f, g):
@@ -475,9 +504,10 @@ def infconv(f, g):
     Bottom value anywhere drags the whole result to Bottom through the
     unbounded splits.  A never-finite operand turns the result into the
     indicator-like split over the Minkowski sum of the domains.  Two
-    proper piecewise-linear operands convolve exactly through the
-    conjugate sum: the result is the inverse transform of the sum of
-    the two conjugate curves, Bottom when their slope windows miss.
+    proper piecewise-linear operands convolve exactly through their
+    epigraphs: the epigraph of the result is epi f + epi g, whose graph
+    merges the two edge lists by slope in O(k_f + k_g) steps, and which
+    is Bottom everywhere when no line lies below both operands' rays.
     """
     for h in (f, g):
         if not isinstance(h, UpFunction):
@@ -485,8 +515,7 @@ def infconv(f, g):
         if not h.is_convex():
             raise ValueError("infconv requires convex operands")
     if isinstance(f, PLProper) and isinstance(g, PLProper):
-        s = _pl_add(_pl_legendre(f), _pl_legendre(g))
-        return ConstBottom() if s is None else _pl_legendre(s)
+        return _epigraph_sum(f, g)
     df, dg = f.dom(), g.dom()
     if df is None or dg is None:
         return ConstTop()

@@ -27,7 +27,9 @@ but deliberately not additive.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from itertools import islice
 
 from .extreal import (
     DownReal,
@@ -53,6 +55,10 @@ def _require_finite(x, what):
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
     return x
+
+
+def _strictly_increasing(xs):
+    return all(map(operator.lt, xs, islice(xs, 1, None)))
 
 
 def _piece(xs, x):
@@ -176,24 +182,28 @@ class PLProper(UpFunction):
       folded into the breakpoint list by :meth:`make`), same on the right;
     * ``slope_left`` is present iff ``dom_lo`` is -inf, ``slope_right``
       iff ``dom_hi`` is +inf;
-    * no collinear interior breakpoints.
+    * no collinear interior breakpoints;
+    * an affine function (one breakpoint, equal end slopes) has its
+      breakpoint at x = 0, so it has one representation.
 
     Values at finite domain endpoints are attained, so the epigraph is
     closed by construction.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
-        xs = [float(x) for x in xs]
-        vs = [float(v) for v in vs]
+        xs = list(map(float, xs))
+        vs = list(map(float, vs))
         if len(xs) == 0 or len(xs) != len(vs):
             raise ValueError("need equally many breakpoint positions and values, at least one")
-        for i, x in enumerate(xs):
-            _require_finite(x, f"breakpoint x[{i}]")
-        for i, v in enumerate(vs):
-            _require_finite(v, f"breakpoint value v[{i}]")
-        for a, b in zip(xs, xs[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must be strictly increasing")
+        # whole-list checks first; the loops run only on failure, to name the index
+        if not all(map(math.isfinite, xs)):
+            for i, x in enumerate(xs):
+                _require_finite(x, f"breakpoint x[{i}]")
+        if not all(map(math.isfinite, vs)):
+            for i, v in enumerate(vs):
+                _require_finite(v, f"breakpoint value v[{i}]")
+        if not _strictly_increasing(xs):
+            raise ValueError("breakpoints must be strictly increasing")
         dom_lo, dom_hi = float(dom_lo), float(dom_hi)
         if dom_lo == -INF:
             if slope_left is None:
@@ -228,17 +238,16 @@ class PLProper(UpFunction):
 
         ``breaks`` is a sequence of (x, v) pairs.  Finite domain bounds
         may lie anywhere; the breakpoint list is clipped/extended so the
-        bounds become breakpoints, and collinear interior breakpoints
-        are removed.
+        bounds become breakpoints, collinear interior breakpoints are
+        removed, and an affine function is anchored at x = 0.
         """
         pts = sorted((float(x), float(v)) for x, v in breaks)
         xs = [p[0] for p in pts]
         vs = [p[1] for p in pts]
         if not xs:
             raise ValueError("need at least one breakpoint")
-        for a, b in zip(xs, xs[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must be strictly increasing")
+        if not _strictly_increasing(xs):
+            raise ValueError("breakpoints must be strictly increasing")
         dom_lo, dom_hi = float(dom_lo), float(dom_hi)
         if dom_lo > dom_hi:
             raise ValueError(f"empty domain [{dom_lo}, {dom_hi}]")
@@ -265,31 +274,33 @@ class PLProper(UpFunction):
             vs = [p[1] for p in keep] + [v_at]
             sr = None
 
-        # drop collinear interior breakpoints, and end breakpoints that sit
-        # on the continuation of the adjacent infinite ray
-        changed = True
-        while changed and len(xs) >= 2:
-            changed = False
-            for i in range(1, len(xs) - 1):
-                s0 = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
-                s1 = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-                if abs(s0 - s1) <= COLLINEAR_TOL:
-                    del xs[i], vs[i]
-                    changed = True
-                    break
-            if changed or len(xs) < 2:
-                continue
-            if sl is not None:
-                s1 = (vs[1] - vs[0]) / (xs[1] - xs[0])
-                if abs(sl - s1) <= COLLINEAR_TOL:
-                    del xs[0], vs[0]
-                    changed = True
-                    continue
-            if sr is not None:
-                s0 = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
-                if abs(sr - s0) <= COLLINEAR_TOL:
-                    del xs[-1], vs[-1]
-                    changed = True
+        # drop collinear interior breakpoints in one pass: the stack holds a
+        # prefix with none left, so a deletion only exposes the triple that
+        # ends at the incoming point; ps[k] is the chord slope from px[k]
+        px, pv, ps = xs[:1], vs[:1], []
+        for x, v in zip(xs[1:], vs[1:]):
+            s1 = (v - pv[-1]) / (x - px[-1])
+            while ps and abs(ps[-1] - s1) <= COLLINEAR_TOL:
+                ps.pop()
+                px.pop()
+                pv.pop()
+                s1 = (v - pv[-1]) / (x - px[-1])
+            ps.append(s1)
+            px.append(x)
+            pv.append(v)
+        xs, vs = px, pv
+        # then end breakpoints that sit on the continuation of the adjacent
+        # infinite ray; removing one creates no new interior triple
+        while len(xs) >= 2:
+            if sl is not None and abs(sl - (vs[1] - vs[0]) / (xs[1] - xs[0])) <= COLLINEAR_TOL:
+                del xs[0], vs[0]
+            elif sr is not None and abs(sr - (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) <= COLLINEAR_TOL:
+                del xs[-1], vs[-1]
+            else:
+                break
+        # an affine function has no distinguished breakpoint: anchor it at 0
+        if len(xs) == 1 and sl is not None and sr is not None and abs(sl - sr) <= COLLINEAR_TOL:
+            xs, vs = [0.0], [vs[0] - sl * xs[0]]
         return cls(xs, vs, sl, sr, dom_lo, dom_hi)
 
     # -- evaluation and structure ---------------------------------------------
@@ -305,10 +316,8 @@ class PLProper(UpFunction):
 
     def segment_slopes(self):
         """Chord slopes between consecutive breakpoints (may be empty)."""
-        return [
-            (self.vs[i + 1] - self.vs[i]) / (self.xs[i + 1] - self.xs[i])
-            for i in range(len(self.xs) - 1)
-        ]
+        xs, vs = self.xs, self.vs
+        return [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:])]
 
     def all_slopes(self):
         """End slopes (where present) and chord slopes, left to right."""

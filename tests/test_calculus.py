@@ -45,6 +45,7 @@ from infsup.functions import (
 )
 from infsup.calculus import (
     ConjugateCurve,
+    _pl_legendre,
     EqualityReport,
     MinorantReport,
     SubdiffDescription,
@@ -572,6 +573,97 @@ class TestInfconv:
                         assert lo_w < lo_n - 10.0
                 else:
                     assert all(t.is_top for t in terms)
+
+
+def _pl_add_reference(p, q):
+    """Exact sum of two PLProper functions, or None if the domains miss,
+    by evaluating both at every breakpoint of either."""
+    lo = max(p.dom_lo, q.dom_lo)
+    hi = min(p.dom_hi, q.dom_hi)
+    if lo > hi:
+        return None
+    pts = {x for x in p.xs + q.xs if lo <= x <= hi}
+    if math.isfinite(lo):
+        pts.add(lo)
+    if math.isfinite(hi):
+        pts.add(hi)
+    pts = sorted(pts)
+    vals = [p.eval(x).value + q.eval(x).value for x in pts]
+    sl = p.slope_left + q.slope_left if lo == -INF else None
+    sr = p.slope_right + q.slope_right if hi == INF else None
+    return PLProper.make(list(zip(pts, vals)), sl, sr, dom_lo=lo, dom_hi=hi)
+
+
+def infconv_via_conjugates(f, g):
+    """Proper-times-proper infimal convolution by three transforms: the
+    inverse transform of the sum of the two conjugate curves."""
+    s = _pl_add_reference(_pl_legendre(f), _pl_legendre(g))
+    return ConstBottom() if s is None else _pl_legendre(s)
+
+
+def float_convex_pl(rng, k, scale, left_bounded, right_bounded):
+    """A convex PLProper on k non-dyadic breakpoints in [-10, 10]*scale,
+    with chord slopes in [-5, 5] and rays bending away by 0.1 to 1."""
+    xs = np.unique(rng.uniform(-10.0, 10.0, size=k) * scale).tolist()
+    slopes = np.sort(rng.uniform(-5.0, 5.0, size=len(xs) - 1)).tolist()
+    vs = [float(rng.uniform(-10.0, 10.0)) * scale]
+    for x0, x1, s in zip(xs, xs[1:], slopes):
+        vs.append(vs[-1] + s * (x1 - x0))
+    mid = float(rng.uniform(-5.0, 5.0))
+    sl = (slopes[0] if slopes else mid) - float(rng.uniform(0.1, 1.0))
+    sr = (slopes[-1] if slopes else mid) + float(rng.uniform(0.1, 1.0))
+    return pl(
+        list(zip(xs, vs)),
+        None if left_bounded else sl,
+        None if right_bounded else sr,
+        dom_lo=xs[0] if left_bounded else -INF,
+        dom_hi=xs[-1] if right_bounded else INF,
+    )
+
+
+def value_scale(f, g):
+    """Size of the operands' values over the region the test evaluates:
+    the largest breakpoint value plus the largest slope times the
+    largest breakpoint position."""
+    vs = [abs(v) for h in (f, g) for v in h.vs]
+    xs = [abs(x) for h in (f, g) for x in h.xs]
+    ss = [abs(s) for h in (f, g) for s in h.all_slopes()]
+    return max(vs) + max(ss, default=0.0) * max(xs)
+
+
+def test_infconv_matches_the_conjugate_route():
+    rng = np.random.default_rng(4242)
+    sides = [(lb, rb) for lb in (False, True) for rb in (False, True)]
+    names = set()
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        pairs = []
+        for f_sides in sides:
+            for g_sides in sides:
+                for kf, kg in ((6, 9), (1, 5), (1, 1)):
+                    pairs.append(
+                        (float_convex_pl(rng, kf, scale, *f_sides), float_convex_pl(rng, kg, scale, *g_sides))
+                    )
+        # an affine operand inside the other's ray window: L == R
+        line = pl([(0.37 * scale, 1.9 * scale)], 0.61, 0.61)
+        pairs.append((line, pl([(-0.2 * scale, 0.3 * scale), (0.9 * scale, 0.1 * scale)], -1.3, 2.2)))
+        pairs.append((float_convex_pl(rng, 7, scale, True, True), line))
+        # the rays cross (L = 2.1 > R = 1.3): Bottom everywhere
+        pairs.append(
+            (pl([(0.7 * scale, 0.2 * scale)], 2.1, 3.4), pl([(-0.4 * scale, 1.1 * scale)], -1.9, 1.3))
+        )
+        for f, g in pairs:
+            out, ref = infconv(f, g), infconv_via_conjugates(f, g)
+            assert type(out) is type(ref), (f, g, out, ref)
+            names.add(type(out).__name__)
+            if not isinstance(out, PLProper):
+                continue
+            assert out.dom() == ref.dom(), (f, g, out, ref)
+            assert (out.slope_left, out.slope_right) == (ref.slope_left, ref.slope_right), (f, g)
+            tol = 1e-12 * value_scale(f, g)
+            for x in sorted(set(out.xs) | set(ref.xs)):
+                a, b = out.eval(x), ref.eval(x)
+                assert abs(a.value - b.value) <= tol, (f, g, x, a, b)
+    assert names == {"PLProper", "ConstBottom"}
 
 
 class TestInfconvConjugate:

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import infsup.extreal as xr
 from infsup.extreal import UpReal, down, up
+from infsup.calculus import biconjugate
 from infsup.functions import (
+    COLLINEAR_TOL,
     AffineDual,
     ConstBottom,
     ConstTop,
@@ -142,6 +144,103 @@ def test_make_keeps_value_at_bound_on_a_breakpoint():
     assert f.xs[0] == 0.3 and f.vs[0] == 0.7
 
 
+def _restart_prune(xs, vs, sl, sr):
+    """Collinear pruning as a scan that restarts after every deletion.
+
+    The quadratic reference for the one-pass stack in ``make``: both
+    compare the same two chord slopes against COLLINEAR_TOL, so their
+    outputs must agree bit for bit.
+    """
+    xs, vs = list(xs), list(vs)
+    changed = True
+    while changed and len(xs) >= 2:
+        changed = False
+        for i in range(1, len(xs) - 1):
+            s0 = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
+            s1 = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+            if abs(s0 - s1) <= COLLINEAR_TOL:
+                del xs[i], vs[i]
+                changed = True
+                break
+        if changed or len(xs) < 2:
+            continue
+        if sl is not None:
+            s1 = (vs[1] - vs[0]) / (xs[1] - xs[0])
+            if abs(sl - s1) <= COLLINEAR_TOL:
+                del xs[0], vs[0]
+                changed = True
+                continue
+        if sr is not None:
+            s0 = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+            if abs(sr - s0) <= COLLINEAR_TOL:
+                del xs[-1], vs[-1]
+                changed = True
+    return xs, vs
+
+
+def _raw_with_collinear_runs(rng, n_parabola, n_tail):
+    """A parabola on non-dyadic points, then a collinear tail from its
+    last point, with short collinear runs (some nudged by less than
+    COLLINEAR_TOL) spliced into the parabola."""
+    xs = np.sort(rng.uniform(-10.0, 0.0, size=n_parabola))
+    pts = [(x, x * x) for x in np.unique(xs).tolist()]
+    out = []
+    for a, b in zip(pts, pts[1:]):
+        out.append(a)
+        if rng.random() < 0.3:
+            slope = (b[1] - a[1]) / (b[0] - a[0])
+            for t in sorted(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 4))).tolist()):
+                x = a[0] + t * (b[0] - a[0])
+                if a[0] < x < b[0]:
+                    nudge = float(rng.uniform(-4e-13, 4e-13)) * (x - a[0])
+                    out.append((x, a[1] + slope * (x - a[0]) + nudge))
+    x0, v0 = pts[-1]
+    out.append((x0, v0))
+    c = 0.75
+    out += [(x0 + 0.125 * i, v0 + c * 0.125 * i) for i in range(1, n_tail + 1)]
+    return sorted(dict(out).items())
+
+
+def test_make_prunes_like_the_restart_scan():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for n_parabola, n_tail in ((3, 40), (30, 5), (60, 200), (200, 60)):
+        raw = _raw_with_collinear_runs(rng, n_parabola, n_tail)
+        xs = [p[0] for p in raw]
+        vs = [p[1] for p in raw]
+        first_chord = (vs[1] - vs[0]) / (xs[1] - xs[0])
+        # the left ray either continues the first chord (so that end
+        # breakpoint goes too) or bends away from it; the right ray
+        # continues the collinear tail
+        for sl in (first_chord, first_chord - 1.3):
+            for left_bounded in (False, True):
+                for right_bounded in (False, True):
+                    args = (
+                        None if left_bounded else sl,
+                        None if right_bounded else 0.75,
+                        xs[0] if left_bounded else -INF,
+                        xs[-1] if right_bounded else INF,
+                    )
+                    f = PLProper.make(raw, *args)
+                    want = _restart_prune(xs, vs, args[0], args[1])
+                    assert (f.xs, f.vs) == want, (n_parabola, n_tail, args)
+                    assert len(f.xs) >= 2
+                    cases += 1
+    assert cases == 32
+
+
+def test_affine_function_has_one_form():
+    # x -> x given through different points is one function, and its
+    # biconjugate (built by the transform at x = 0) is its hull
+    f = pl([(2.0, 2.0)], 1.0, 1.0)
+    assert f == pl([(0.0, 0.0)], 1.0, 1.0)
+    assert f == pl([(-3.5, -3.5), (1.0, 1.0), (7.25, 7.25)], 1.0, 1.0)
+    assert biconjugate(f) == closure_hull(f)
+    g = pl([(0.3, 1.7)], -0.4, -0.4)
+    assert g.xs == [0.0] and g.vs == [1.7 + 0.4 * 0.3]
+    assert g.eval(0.3).value == pytest.approx(1.7, rel=1e-15)
+
+
 def _reference_slopes(f, x):
     """(slope before x, slope after x) by a linear scan over the pieces."""
     pieces = list(zip(f.xs, f.xs[1:], f.segment_slopes()))
@@ -204,6 +303,10 @@ def test_constructor_rejects_bad_data():
         PLProper([0.0], [1.0], slope_right=1.0)  # missing slope_left
     with pytest.raises(ValueError):
         PLProper([0.0], [math.nan], slope_left=0.0, slope_right=0.0)
+    with pytest.raises(ValueError, match=r"breakpoint x\[2\] must be finite, got inf"):
+        PLProper([0.0, 1.0, INF, 3.0], [0.0, 1.0, 2.0, 3.0], slope_left=0.0, slope_right=0.0)
+    with pytest.raises(ValueError, match=r"breakpoint value v\[1\] must be finite, got nan"):
+        PLProper([0.0, 1.0, 2.0], [0.0, math.nan, 2.0], slope_left=0.0, slope_right=0.0)
     with pytest.raises(ValueError):
         pl([(0.0, 0.0)], slope_left=0.0, slope_right=0.0, dom_lo=2.0, dom_hi=1.0)
     with pytest.raises(ValueError):
