@@ -5,7 +5,7 @@ The package is organized bottom-up: ``extreal`` carries the two scalar
 image spaces, ``groupoid`` checks the residuation existence theorems on
 finite ordered structures, ``functions``/``calculus`` do one-variable
 piecewise-linear convex analysis with extended-real values, and
-``poly2`` represents closed convex polyhedra and cones in the plane.
+``poly2`` represents closed convex polyhedra in the plane.
 """
 
 __version__ = "0.1.0"

@@ -278,32 +278,29 @@ def _clean(a):
     return a
 
 
-def isum_arr(a, b):
+def _bulk(op, nan_value, a, b):
+    """``op`` on the cleaned arrays, its nan cases (opposite infinities)
+    patched to ``nan_value``."""
     a, b = _clean(a), _clean(b)
     with np.errstate(invalid="ignore"):
-        s = a + b
-    return np.where(np.isnan(s), np.inf, s)
+        r = op(a, b)
+    return np.where(np.isnan(r), nan_value, r)
+
+
+def isum_arr(a, b):
+    return _bulk(np.add, np.inf, a, b)
 
 
 def ssum_arr(a, b):
-    a, b = _clean(a), _clean(b)
-    with np.errstate(invalid="ignore"):
-        s = a + b
-    return np.where(np.isnan(s), -np.inf, s)
+    return _bulk(np.add, -np.inf, a, b)
 
 
 def idif_arr(a, b):
-    a, b = _clean(a), _clean(b)
-    with np.errstate(invalid="ignore"):
-        d = a - b
-    return np.where(np.isnan(d), -np.inf, d)
+    return _bulk(np.subtract, -np.inf, a, b)
 
 
 def sdif_arr(a, b):
-    a, b = _clean(a), _clean(b)
-    with np.errstate(invalid="ignore"):
-        d = a - b
-    return np.where(np.isnan(d), np.inf, d)
+    return _bulk(np.subtract, np.inf, a, b)
 
 
 def scale_arr(t, a):

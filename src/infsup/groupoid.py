@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -329,7 +330,7 @@ class ScaledMonoid:
         self.add = [[self._index[x] for x in row] for row in add]
         self.scale = {}
         for t, images in scale.items():
-            t = _as_scalar(t)
+            t = Fraction(t)
             if t < 0:
                 raise ValueError(f"probe scalar {t} is negative")
             if len(images) != n:
@@ -339,14 +340,6 @@ class ScaledMonoid:
     @property
     def size(self):
         return len(self.carrier)
-
-
-def _as_scalar(t):
-    from fractions import Fraction
-
-    if isinstance(t, str):
-        return Fraction(t)
-    return Fraction(t)
 
 
 @dataclass
@@ -407,14 +400,14 @@ def check_conlinear(S):
             for w in range(n):
                 if S.scale[s][S.scale[r][w]] != rs[w]:
                     note("C2-ii", (str(r), str(s), lab[w]))
-    one = _as_scalar(1)
+    one = Fraction(1)
     if one in S.scale:
         for w in range(n):
             if S.scale[one][w] != w:
                 note("C2-iii", (lab[w],))
     else:
         note("C2-iii", ("probe 1 missing",))
-    zero = _as_scalar(0)
+    zero = Fraction(0)
     if neutral is not None:
         if zero in S.scale:
             if S.scale[zero][neutral] != neutral:
