@@ -175,16 +175,26 @@ def improper_split(lo, hi):
 class PLProper(UpFunction):
     """Piecewise-linear function, finite on its interval domain, Top outside.
 
-    Canonical invariants (enforced at construction):
+    Invariants enforced by the constructor:
 
     * ``xs`` strictly increasing, ``vs`` finite, at least one breakpoint;
     * ``dom_lo`` is either -inf or exactly ``xs[0]`` (finite endpoints are
       folded into the breakpoint list by :meth:`make`), same on the right;
     * ``slope_left`` is present iff ``dom_lo`` is -inf, ``slope_right``
-      iff ``dom_hi`` is +inf;
+      iff ``dom_hi`` is +inf.
+
+    Canonical invariants established by :meth:`make`, not checked by the
+    constructor:
+
     * no collinear interior breakpoints;
     * an affine function (one breakpoint, equal end slopes) has its
       breakpoint at x = 0, so it has one representation.
+
+    ``==`` and :func:`fn_allclose` compare representations, so they are
+    function equality only between canonical instances: built directly,
+    ``PLProper([0, 1, 2], [0, 1, 2], slope_left=1, slope_right=1)`` is the
+    identity but does not equal ``PLProper([0], [0], slope_left=1,
+    slope_right=1)``.
 
     Values at finite domain endpoints are attained, so the epigraph is
     closed by construction.
@@ -457,9 +467,9 @@ def is_convex(f):
 def fn_allclose(f, g, tol=1e-9):
     """Structural closeness of two up-space functions.
 
-    Both arguments are canonical by construction, so comparing variant,
-    breakpoints, slopes and domain markers within ``tol`` is a faithful
-    function comparison.
+    Compares variant, breakpoints, slopes and domain markers within
+    ``tol``.  That is a faithful function comparison when both arguments
+    are canonical (built by ``PLProper.make``); see :class:`PLProper`.
     """
 
     def close(a, b):

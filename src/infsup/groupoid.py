@@ -30,6 +30,13 @@ MODES = ("inf", "sup")
 MAX_WITNESSES = 25
 
 
+def _to_index(index, label, where):
+    try:
+        return index[label]
+    except KeyError:
+        raise ValueError(f"{where} = {label!r} is not a carrier element") from None
+
+
 class FiniteOrderedGroupoid:
     """A finite carrier with a commutative addition table and a compatible partial order.
 
@@ -37,6 +44,11 @@ class FiniteOrderedGroupoid:
     commutativity of the table, the partial-order axioms for ``leq``,
     and compatibility (u <= v implies u+w <= v+w).  Invalid input
     raises ValueError with the offending entries.
+
+    Order queries run on integer bitmasks: ``_down[y]`` has bit x set iff
+    x <= y, ``_up[x]`` has bit y set iff x <= y.  By antisymmetry each
+    principal down-set (up-set) belongs to one element, which
+    ``_down_of`` (``_up_of``) maps it back to.
     """
 
     def __init__(self, carrier, add, leq):
@@ -50,20 +62,21 @@ class FiniteOrderedGroupoid:
 
         if len(add) != n or any(len(row) != n for row in add):
             raise ValueError("add table must be n x n")
-        self.add = []
-        for i, row in enumerate(add):
-            out = []
-            for j, lab in enumerate(row):
-                if lab not in self._index:
-                    raise ValueError(f"add[{i}][{j}] = {lab!r} is not a carrier element")
-                out.append(self._index[lab])
-            self.add.append(out)
+        self.add = [
+            [_to_index(self._index, lab, f"add[{i}][{j}]") for j, lab in enumerate(row)]
+            for i, row in enumerate(add)
+        ]
 
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("leq matrix must be n x n")
         self.leq = [[bool(x) for x in row] for row in leq]
 
         self._validate()
+
+        self._up = [sum(1 << y for y in range(n) if row[y]) for row in self.leq]
+        self._down = [sum(1 << x for x in range(n) if self.leq[x][y]) for y in range(n)]
+        self._up_of = {m: x for x, m in enumerate(self._up)}
+        self._down_of = {m: y for y, m in enumerate(self._down)}
 
     # -- construction helpers -------------------------------------------------
 
@@ -103,7 +116,7 @@ class FiniteOrderedGroupoid:
                             f"but adding {lab[k]!r} breaks it"
                         )
 
-    # -- small order-theoretic utilities --------------------------------------
+    # -- order queries on bitmasks --------------------------------------------
 
     @property
     def size(self):
@@ -115,46 +128,47 @@ class FiniteOrderedGroupoid:
         except KeyError:
             raise ValueError(f"{label!r} is not a carrier element") from None
 
-    def glb(self, S):
-        """Greatest lower bound of a set of indices, or None.
+    def _bound(self, mask, mode):
+        """Infimum (mode inf) or supremum (mode sup) of the index set ``mask``, or None.
 
-        S may be empty; the glb of the empty set is the greatest element
-        of the whole carrier when one exists.
+        The lower bounds of S are the x whose up-set contains S, and S has
+        an infimum iff they form a principal down-set; the empty set's
+        infimum is the top element when there is one.
         """
-        n = len(self.carrier)
-        lbs = [x for x in range(n) if all(self.leq[x][s] for s in S)]
-        for c in lbs:
-            if all(self.leq[b][c] for b in lbs):
-                return c
-        return None
+        sets, of = (self._up, self._down_of) if mode == "inf" else (self._down, self._up_of)
+        bounds = 0
+        for x, s in enumerate(sets):
+            if s & mask == mask:
+                bounds |= 1 << x
+        return of.get(bounds)
 
-    def lub(self, S):
-        n = len(self.carrier)
-        ubs = [x for x in range(n) if all(self.leq[s][x] for s in S)]
-        for c in ubs:
-            if all(self.leq[c][b] for b in ubs):
-                return c
-        return None
+    def _pick(self, mask, mode):
+        """Least (mode inf) or greatest (mode sup) member of the index set ``mask``, or None.
 
-    def least_of(self, S):
-        """Least element belonging to S (not merely a lower bound), or None."""
-        for m in S:
-            if all(self.leq[m][s] for s in S):
-                return m
-        return None
+        That is the infimum/supremum when it belongs to the set.
+        """
+        ext = self._bound(mask, mode)
+        return None if ext is None or not mask >> ext & 1 else ext
 
-    def greatest_of(self, S):
-        for m in S:
-            if all(self.leq[s][m] for s in S):
-                return m
-        return None
+    def _residual_mask(self, u, v, mode):
+        """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup), as a mask."""
+        target = self._up[u] if mode == "inf" else self._down[u]
+        mask = 0
+        for w, s in enumerate(self.add[v]):
+            if target >> s & 1:
+                mask |= 1 << w
+        return mask
 
-    def residual_set(self, u, v, mode):
-        """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup)."""
-        n = len(self.carrier)
-        if mode == "inf":
-            return [w for w in range(n) if self.leq[u][self.add[v][w]]]
-        return [w for w in range(n) if self.leq[self.add[v][w]][u]]
+    def _pair_table(self, mode):
+        """The meet (mode inf) or join (mode sup) of every pair, or None if one is missing."""
+        sets, of = (self._down, self._down_of) if mode == "inf" else (self._up, self._up_of)
+        table = []
+        for a in sets:
+            row = [of.get(a & b) for b in sets]
+            if None in row:
+                return None
+            table.append(row)
+        return table
 
     def is_lattice(self):
         """Whether every pair of elements has a meet and a join.
@@ -165,20 +179,23 @@ class FiniteOrderedGroupoid:
         partial order they can genuinely come apart; see the tests for
         a six-element witness.
         """
-        n = len(self.carrier)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.glb((i, j)) is None or self.lub((i, j)) is None:
-                    return False
-        return True
+        return self._pair_table("inf") is not None and self._pair_table("sup") is not None
 
 
 @dataclass
 class ConditionReport:
+    """Outcome of one condition in one mode.
+
+    ``exhaustive`` is False only when condition C was decided on a
+    sample of subsets (a carrier that is not a lattice, with more than
+    six elements); then ``holds`` means no sampled subset failed.
+    """
+
     condition: str
     mode: str
     holds: bool
     witnesses: list
+    exhaustive: bool = True
 
     def __post_init__(self):
         assert self.holds == (not self.witnesses)
@@ -209,11 +226,50 @@ def _subsets_for_c(G, rng=None):
         yield tuple(i for i in idx if mask[i])
 
 
+def _condition_c_lattice(G, mode, note):
+    """Condition C on a lattice from the empty set and pairs.
+
+    In a lattice a map that preserves the empty infimum and binary meets
+    preserves every finite meet (induction on the size of the set), so
+    these checks decide C over all subsets in O(n^3).  Mode sup is the
+    mirror, with joins.
+    """
+    n, lab, add = G.size, G.carrier, G.add
+    table = G._pair_table(mode)
+    empty = G._bound(0, mode)  # the top (inf) or bottom (sup) element
+    for u in range(n):
+        if add[u][empty] != empty:
+            note((lab[u], ()))
+    for a, b in itertools.combinations(range(n), 2):
+        ab = table[a][b]
+        for u in range(n):
+            row = add[u]
+            if row[ab] != table[row[a]][row[b]]:
+                note((lab[u], (lab[a], lab[b])))
+
+
+def _condition_c_subsets(G, mode, rng, note):
+    """Condition C by enumerating subsets: all of them when n <= 6, else a sample."""
+    n, lab, add = G.size, G.carrier, G.add
+    for M in _subsets_for_c(G, rng):
+        ext = G._bound(sum(1 << m for m in M), mode)
+        if ext is None:
+            continue  # the condition only quantifies over sets whose inf/sup exists
+        for u in range(n):
+            shifted = G._bound(sum(1 << s for s in {add[u][m] for m in M}), mode)
+            if shifted != add[u][ext]:
+                note((lab[u], tuple(lab[m] for m in M)))
+
+
 def check_condition(G, condition, mode, rng=None):
-    """Evaluate one of the four residuation conditions exhaustively.
+    """Evaluate one of the four residuation conditions.
 
     mode "inf" checks the version whose residual sets are {w' : u <= v + w'}
     and whose distribution law is over infima; mode "sup" is the mirror.
+    A, B and D are decided over every pair (u, v).  C is decided exactly
+    on a lattice (from the empty set and pairs) and on carriers of at
+    most six elements (every subset); otherwise it is checked on a seeded
+    sample of subsets and the report says ``exhaustive=False``.
     """
     condition = condition.upper()
     if condition not in CONDITIONS:
@@ -228,57 +284,33 @@ def check_condition(G, condition, mode, rng=None):
         if len(witnesses) < MAX_WITNESSES:
             witnesses.append(w)
 
-    if condition == "A":
-        # some w makes (u <= v + w') / (v + w' <= u) equivalent to the order test against w
-        for u in range(n):
-            for v in range(n):
-                S = set(G.residual_set(u, v, mode))
-                found = False
-                for w in range(n):
-                    if mode == "inf":
-                        ok = all((wp in S) == G.leq[w][wp] for wp in range(n))
-                    else:
-                        ok = all((wp in S) == G.leq[wp][w] for wp in range(n))
-                    if ok:
-                        found = True
-                        break
-                if not found:
-                    note((lab[u], lab[v]))
+    if condition == "C":
+        lattice = G.is_lattice()
+        if lattice:
+            _condition_c_lattice(G, mode, note)
+        else:
+            _condition_c_subsets(G, mode, rng, note)
+        exhaustive = lattice or n <= 6
+        return ConditionReport(condition, mode, not witnesses, witnesses, exhaustive)
 
-    elif condition == "B":
-        for u in range(n):
-            for v in range(n):
-                S = G.residual_set(u, v, mode)
-                picked = G.least_of(S) if mode == "inf" else G.greatest_of(S)
-                if picked is None:
-                    note((lab[u], lab[v]))
-
-    elif condition == "C":
-        for M in _subsets_for_c(G, rng):
-            ext = G.glb(M) if mode == "inf" else G.lub(M)
-            if ext is None:
-                continue  # the condition only quantifies over sets whose inf/sup exists
-            for u in range(n):
-                shifted = [G.add[u][m] for m in M]
-                left = G.add[u][ext]
-                right = G.glb(shifted) if mode == "inf" else G.lub(shifted)
-                if right is None or right != left:
-                    note((lab[u], tuple(lab[m] for m in M)))
-
-    else:  # D
-        for u in range(n):
-            for v in range(n):
-                S = G.residual_set(u, v, mode)
-                ext = G.glb(S) if mode == "inf" else G.lub(S)
+    principal = G._up_of if mode == "inf" else G._down_of
+    for u in range(n):
+        for v in range(n):
+            S = G._residual_mask(u, v, mode)
+            if condition == "A":
+                # some w makes (u <= v + w') / (v + w' <= u) equivalent to w <= w' / w' <= w
+                ok = S in principal
+            elif condition == "B":
+                ok = G._pick(S, mode) is not None
+            else:  # D: the bound is attained, u <= v + inf S / v + sup S <= u
+                ext = G._bound(S, mode)
                 if ext is None:
-                    note((lab[u], lab[v]))
-                    continue
-                if mode == "inf":
-                    if not G.leq[u][G.add[v][ext]]:
-                        note((lab[u], lab[v]))
+                    ok = False
                 else:
-                    if not G.leq[G.add[v][ext]][u]:
-                        note((lab[u], lab[v]))
+                    w = G.add[v][ext]
+                    ok = G.leq[u][w] if mode == "inf" else G.leq[w][u]
+            if not ok:
+                note((lab[u], lab[v]))
 
     return ConditionReport(condition, mode, not witnesses, witnesses)
 
@@ -299,9 +331,7 @@ def residual(G, u, v, mode):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    ui, vi = G.index(u), G.index(v)
-    S = G.residual_set(ui, vi, mode)
-    picked = G.least_of(S) if mode == "inf" else G.greatest_of(S)
+    picked = G._pick(G._residual_mask(G.index(u), G.index(v), mode), mode)
     return None if picked is None else G.carrier[picked]
 
 
@@ -327,7 +357,10 @@ class ScaledMonoid:
             raise ValueError("carrier must be nonempty with distinct labels")
         if len(add) != n or any(len(row) != n for row in add):
             raise ValueError("add table must be n x n")
-        self.add = [[self._index[x] for x in row] for row in add]
+        self.add = [
+            [_to_index(self._index, x, f"add[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(add)
+        ]
         self.scale = {}
         for t, images in scale.items():
             t = Fraction(t)
@@ -335,7 +368,9 @@ class ScaledMonoid:
                 raise ValueError(f"probe scalar {t} is negative")
             if len(images) != n:
                 raise ValueError(f"scale table for {t} must list {n} images")
-            self.scale[t] = [self._index[x] for x in images]
+            self.scale[t] = [
+                _to_index(self._index, x, f"scale[{t}][{i}]") for i, x in enumerate(images)
+            ]
 
     @property
     def size(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from infsup import extreal as xr
 from infsup.groupoid import (
+    MAX_WITNESSES,
     FiniteOrderedGroupoid,
     ScaledMonoid,
     check_condition,
@@ -169,36 +171,43 @@ def test_random_groupoids_agree_on_all_conditions():
             assert rep.agree, (G.carrier, G.add, G.leq, mode)
 
 
-def test_agreement_needs_a_lattice_order():
-    # Frozen witness: a six-element ordered commutative groupoid whose order
-    # is a valid partial order but not a lattice (b is a top element, there
-    # is no bottom, and a and c have no common lower bound).  For the pair
-    # (u, v) = (a, a) the residual set is the whole carrier, which has no
-    # least element and no infimum, so conditions A, B, D all fail; yet the
-    # distribution condition C holds because it only quantifies over subsets
-    # whose infimum exists.  The four-way equivalence is genuinely a theorem
-    # about lattice orders, which is why the random generator filters for
-    # them.
-    labels = ["a", "b", "c", "d", "e", "f"]
-    add_idx = [
-        [0, 1, 0, 0, 0, 0],
-        [1, 1, 1, 1, 1, 1],
-        [0, 1, 2, 2, 4, 5],
-        [0, 1, 2, 3, 4, 5],
-        [0, 1, 4, 4, 4, 5],
-        [0, 1, 5, 5, 5, 5],
-    ]
-    leq = [
-        [1, 1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 1, 1, 0, 1, 1],
-        [0, 1, 0, 1, 1, 1],
-        [0, 1, 0, 0, 1, 1],
-        [0, 1, 0, 0, 0, 1],
-    ]
-    G = FiniteOrderedGroupoid(
-        labels, [[labels[k] for k in row] for row in add_idx], leq
+# A six-element ordered commutative groupoid whose order is a valid partial
+# order but not a lattice (b is a top element, there is no bottom, and a and
+# c have no common lower bound).
+NONLATTICE_LABELS = ["a", "b", "c", "d", "e", "f"]
+NONLATTICE_ADD = [
+    [0, 1, 0, 0, 0, 0],
+    [1, 1, 1, 1, 1, 1],
+    [0, 1, 2, 2, 4, 5],
+    [0, 1, 2, 3, 4, 5],
+    [0, 1, 4, 4, 4, 5],
+    [0, 1, 5, 5, 5, 5],
+]
+NONLATTICE_LEQ = [
+    [1, 1, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+    [0, 1, 1, 0, 1, 1],
+    [0, 1, 0, 1, 1, 1],
+    [0, 1, 0, 0, 1, 1],
+    [0, 1, 0, 0, 0, 1],
+]
+
+
+def nonlattice6():
+    labels = NONLATTICE_LABELS
+    return FiniteOrderedGroupoid(
+        labels, [[labels[k] for k in row] for row in NONLATTICE_ADD], NONLATTICE_LEQ
     )
+
+
+def test_agreement_needs_a_lattice_order():
+    # Frozen witness: for the pair (u, v) = (a, a) the residual set of the
+    # non-lattice carrier is the whole carrier, which has no least element
+    # and no infimum, so conditions A, B, D all fail; yet the distribution
+    # condition C holds because it only quantifies over subsets whose
+    # infimum exists.  The four-way equivalence is genuinely a theorem about
+    # lattice orders, which is why the random generator filters for them.
+    G = nonlattice6()
     assert not G.is_lattice()
     assert check_condition(G, "C", "inf").holds
     for c in "ABD":
@@ -242,3 +251,215 @@ def test_json_roundtrip_construction():
     assert G.carrier == tuple(CHAIN)
     with pytest.raises(ValueError, match="missing key"):
         FiniteOrderedGroupoid.from_json_dict({"carrier": CHAIN, "add": UP_ADD})
+
+
+def test_scaled_monoid_rejects_labels_outside_the_carrier():
+    with pytest.raises(ValueError, match=r"add\[1\]\[2\] = 'nope'"):
+        ScaledMonoid(CHAIN, [UP_ADD[0], [B, Z, "nope"], UP_ADD[2]], {"1": CHAIN})
+    with pytest.raises(ValueError, match=r"scale\[1/2\]\[0\] = 'nope'"):
+        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "1/2": ["nope", Z, T]})
+
+
+# ---------------------------------------------------------------------------
+# The list-based checker the bitmask implementation replaced, kept as the
+# reference it must reproduce: residual sets as lists, infima by scanning
+# lower bounds, and condition C over every subset (or, with more than six
+# elements, the same seeded sample of subsets).
+# ---------------------------------------------------------------------------
+
+
+def _ref_glb(G, S):
+    lbs = [x for x in range(G.size) if all(G.leq[x][s] for s in S)]
+    return next((c for c in lbs if all(G.leq[b][c] for b in lbs)), None)
+
+
+def _ref_lub(G, S):
+    ubs = [x for x in range(G.size) if all(G.leq[s][x] for s in S)]
+    return next((c for c in ubs if all(G.leq[c][b] for b in ubs)), None)
+
+
+def _ref_pick(G, S, mode):
+    if mode == "inf":
+        return next((m for m in S if all(G.leq[m][s] for s in S)), None)
+    return next((m for m in S if all(G.leq[s][m] for s in S)), None)
+
+
+def _ref_residual_set(G, u, v, mode):
+    if mode == "inf":
+        return [w for w in range(G.size) if G.leq[u][G.add[v][w]]]
+    return [w for w in range(G.size) if G.leq[G.add[v][w]][u]]
+
+
+def _ref_subsets(n, full=False):
+    if n <= 6 or full:
+        for r in range(n + 1):
+            yield from itertools.combinations(range(n), r)
+        return
+    yield ()
+    for i in range(n):
+        yield (i,)
+    yield tuple(range(n))
+    rng = np.random.default_rng(0)
+    for _ in range(64):
+        mask = rng.random(n) < 0.5
+        yield tuple(i for i in range(n) if mask[i])
+
+
+def _ref_check(G, condition, mode, full=False):
+    n, lab = G.size, G.carrier
+    ext_of = (lambda S: _ref_glb(G, S)) if mode == "inf" else (lambda S: _ref_lub(G, S))
+    witnesses = []
+    if condition == "C":
+        for M in _ref_subsets(n, full):
+            ext = ext_of(M)
+            if ext is None:
+                continue
+            for u in range(n):
+                if ext_of([G.add[u][m] for m in M]) != G.add[u][ext]:
+                    witnesses.append((lab[u], tuple(lab[m] for m in M)))
+        return witnesses
+    for u in range(n):
+        for v in range(n):
+            S = _ref_residual_set(G, u, v, mode)
+            if condition == "A":
+                le = (lambda w, wp: G.leq[w][wp]) if mode == "inf" else (lambda w, wp: G.leq[wp][w])
+                ok = any(all((wp in S) == le(w, wp) for wp in range(n)) for w in range(n))
+            elif condition == "B":
+                ok = _ref_pick(G, S, mode) is not None
+            else:
+                ext = ext_of(S)
+                w = None if ext is None else G.add[v][ext]
+                ok = w is not None and (G.leq[u][w] if mode == "inf" else G.leq[w][u])
+            if not ok:
+                witnesses.append((lab[u], lab[v]))
+    return witnesses
+
+
+def _ref_residual(G, u, v, mode):
+    picked = _ref_pick(G, _ref_residual_set(G, G.index(u), G.index(v), mode), mode)
+    return None if picked is None else G.carrier[picked]
+
+
+def product_lattice(dims, add):
+    """Product of chains 0..d-1 with labels like "x01", ordered coordinatewise."""
+    coords = list(itertools.product(*(range(d) for d in dims)))
+    labels = ["x" + "".join(map(str, c)) for c in coords]
+    index = {c: i for i, c in enumerate(coords)}
+    table = [[labels[index[add(u, v)]] for v in coords] for u in coords]
+    leq = [[all(a <= b for a, b in zip(u, v)) for v in coords] for u in coords]
+    return FiniteOrderedGroupoid(labels, table, leq)
+
+
+def saturating(dims):
+    return product_lattice(dims, lambda u, v: tuple(min(a + b, d - 1) for a, b, d in zip(u, v, dims)))
+
+
+def discrete7():
+    # the discrete order on seven elements with addition mod 7
+    labels = [f"d{i}" for i in range(7)]
+    return FiniteOrderedGroupoid(
+        labels,
+        [[labels[(i + j) % 7] for j in range(7)] for i in range(7)],
+        [[i == j for j in range(7)] for i in range(7)],
+    )
+
+
+def _reference_carriers():
+    rng = np.random.default_rng(2024)
+    out = [random_groupoid(rng, n) for n in range(1, 8) for _ in range(8)]
+    return out + [nonlattice6(), discrete7(), up3(), down3(), saturating((16,)), saturating((4, 4))]
+
+
+def test_matches_the_list_based_reference():
+    for G in _reference_carriers():
+        for mode in ("inf", "sup"):
+            for c in "ABD":
+                want = _ref_check(G, c, mode)[: MAX_WITNESSES]
+                rep = check_condition(G, c, mode)
+                assert rep.witnesses == want, (G.carrier, c, mode)
+                assert rep.exhaustive
+            rep, want = check_condition(G, "C", mode), _ref_check(G, "C", mode)
+            if not G.is_lattice():
+                # the same subsets in the same order, sampled or not
+                assert rep.witnesses == want[:MAX_WITNESSES], (G.carrier, mode)
+            elif G.size <= 6:
+                assert rep.holds == (not want), (G.carrier, mode)
+            elif want:
+                # the sampled reference found a real counterexample
+                assert not rep.holds, (G.carrier, mode)
+            for u in G.carrier:
+                for v in G.carrier:
+                    assert residual(G, u, v, mode) == _ref_residual(G, u, v, mode)
+
+
+def _boolean_cube_all_or_nothing():
+    # the Boolean lattice 2^3; u + v is the top unless u and v are both the bottom
+    return product_lattice((2, 2, 2), lambda u, v: (1, 1, 1) if any(u + v) else (0, 0, 0))
+
+
+def _m3_times_2(addition):
+    """M3 (bottom 0, atoms 1-3, top 4) times a two-element chain, u + v = u join v or u meet v.
+
+    A non-distributive lattice of ten elements, ordered coordinatewise.
+    """
+    m3 = [[i == j or i == 0 or j == 4 for j in range(5)] for i in range(5)]
+    elems = [(a, b) for a in range(5) for b in range(2)]
+    leq = [[m3[a][c] and b <= d for c, d in elems] for a, b in elems]
+    labels = [f"m{a}{b}" for a, b in elems]
+    up = addition == "join"
+
+    def le(x, y):
+        return leq[x][y] if up else leq[y][x]
+
+    def bound(i, j):
+        cands = [c for c in range(10) if le(i, c) and le(j, c)]
+        return next(c for c in cands if all(le(c, d) for d in cands))
+
+    table = [[labels[bound(i, j)] for j in range(10)] for i in range(10)]
+    return FiniteOrderedGroupoid(labels, table, leq)
+
+
+def test_pair_reduced_c_equals_full_enumeration_on_lattices():
+    rng = np.random.default_rng(99)
+    lattices = [random_groupoid(rng, n) for n in (7, 8, 9, 10)]
+    lattices += [
+        _boolean_cube_all_or_nothing(),
+        saturating((2, 4)),
+        saturating((2, 5)),
+        _m3_times_2("join"),
+        _m3_times_2("meet"),
+    ]
+    seen = set()
+    for G in lattices:
+        assert G.is_lattice()
+        for mode in ("inf", "sup"):
+            rep = check_condition(G, "C", mode)
+            want = not _ref_check(G, "C", mode, full=True)
+            assert rep.holds == want, (G.carrier, mode)
+            assert rep.exhaustive
+            assert all(len(M) in (0, 2) for _, M in rep.witnesses)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_c_on_a_lattice_reports_a_pair_witness():
+    G = _boolean_cube_all_or_nothing()
+    assert G.size == 8 and G.is_lattice()
+    for mode in ("inf", "sup"):
+        for c in "ABCD":
+            rep = check_condition(G, c, mode)
+            assert not rep.holds and rep.exhaustive, (c, mode)
+    rep = check_condition(G, "C", "inf")
+    # x000 + (x001 meet x010) = x000 + x000 = x000, but the meet of
+    # x000 + x001 = x111 and x000 + x010 = x111 is x111
+    assert rep.witnesses[0] == ("x000", ("x001", "x010"))
+
+
+def test_c_on_a_large_non_lattice_is_sampled():
+    G = discrete7()
+    assert not G.is_lattice()
+    for mode in ("inf", "sup"):
+        rep = check_condition(G, "C", mode)
+        assert rep.holds and not rep.exhaustive
+        assert check_condition(G, "A", mode).exhaustive
+    assert check_condition(nonlattice6(), "C", "inf").exhaustive
