@@ -57,6 +57,11 @@ def _require_finite(x, what):
     return x
 
 
+def _float_repr(x):
+    """Source text that evaluates to the float x bit for bit, infinities included."""
+    return repr(x) if math.isfinite(x) else f"float('{x}')"
+
+
 def _strictly_increasing(xs):
     return all(map(operator.lt, xs, islice(xs, 1, None)))
 
@@ -137,7 +142,7 @@ class ImproperSplit(UpFunction):
         return True
 
     def __repr__(self):
-        return f"ImproperSplit({self.lo}, {self.hi})"
+        return f"ImproperSplit({_float_repr(self.lo)}, {_float_repr(self.hi)})"
 
 
 class ConstTop(ImproperSplit):
@@ -370,10 +375,11 @@ class PLProper(UpFunction):
         return self._piece_slope(_piece(self.xs, x0))
 
     def __repr__(self):
-        pieces = ", ".join(f"({x:g},{v:g})" for x, v in zip(self.xs, self.vs))
         return (
-            f"PLProper([{pieces}], slope_left={self.slope_left}, "
-            f"slope_right={self.slope_right}, dom=[{self.dom_lo:g},{self.dom_hi:g}])"
+            f"PLProper([{', '.join(map(_float_repr, self.xs))}], "
+            f"[{', '.join(map(_float_repr, self.vs))}], "
+            f"slope_left={self.slope_left!r}, slope_right={self.slope_right!r}, "
+            f"dom_lo={_float_repr(self.dom_lo)}, dom_hi={_float_repr(self.dom_hi)})"
         )
 
 
@@ -613,7 +619,7 @@ class DualElem:
         return hash(self._key())
 
     def __repr__(self):
-        return f"DualElem.{self.kind}({self.a:g})"
+        return f"DualElem.{self.kind}({self.a!r})"
 
 
 def _sign(a):
@@ -688,7 +694,7 @@ class AffineDual:
         return hash(self.canonical_key())
 
     def __repr__(self):
-        return f"AffineDual({self.xi!r}, r={self.r:g})"
+        return f"AffineDual({self.xi!r}, r={self.r!r})"
 
 
 def affine_eval(xi_r, x):

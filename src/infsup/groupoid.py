@@ -1,15 +1,21 @@
 """Finite ordered commutative groupoids and the residuation existence tests.
 
 The scalar difference operations in this package are instances of a
-general order-algebraic fact: on a partially ordered commutative
-groupoid, four conditions are equivalent (a pointwise adjoint
-characterization, existence of a least/greatest element in every
-residual set, distribution of addition over existing infima/suprema,
-and attainment of the residual bound).  On a finite carrier all four
-are decidable by brute force, which makes the equivalence itself a
-testable statement.  This module implements the checks, a residual
-lookup, the conlinear-space axioms for scalar actions, and a generator
-of random valid structures for fuzzing.
+general order-algebraic fact.  On a partially ordered commutative
+groupoid take four conditions: (A) a pointwise adjoint characterization,
+(B) a least/greatest element in every residual set, (C) distribution of
+addition over existing infima/suprema, and (D) attainment of the residual
+bound.  By compatibility every residual set {w : u <= v + w} is an up-set
+(mode sup: {w : v + w <= u}, a down-set), and an up-set of a finite
+order has a least element iff it is principal iff it holds its own
+infimum.  So A, B and D are one statement, "every residual set is
+principal", on every valid carrier, and it implies C.  When the order is
+a lattice, C implies it back (Blyth & Janowitz, *Residuation Theory*,
+1972), and all four are equivalent; on a bare partial order C can hold
+while the others fail.  On a finite carrier all four are decided
+exactly, which makes these statements testable.  This module implements
+the checks, a residual lookup, the conlinear-space axioms for scalar
+actions, and a generator of random valid structures for fuzzing.
 
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
@@ -19,8 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 CONDITIONS = ("A", "B", "C", "D")
 MODES = ("inf", "sup")
@@ -142,13 +146,10 @@ class FiniteOrderedGroupoid:
                 bounds |= 1 << x
         return of.get(bounds)
 
-    def _pick(self, mask, mode):
-        """Least (mode inf) or greatest (mode sup) member of the index set ``mask``, or None.
-
-        That is the infimum/supremum when it belongs to the set.
-        """
-        ext = self._bound(mask, mode)
-        return None if ext is None or not mask >> ext & 1 else ext
+    def _pair_bound(self, a, b, mode):
+        """Meet (mode inf) or join (mode sup) of elements a and b, or None."""
+        sets, of = (self._down, self._down_of) if mode == "inf" else (self._up, self._up_of)
+        return of.get(sets[a] & sets[b])
 
     def _residual_mask(self, u, v, mode):
         """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup), as a mask."""
@@ -159,43 +160,32 @@ class FiniteOrderedGroupoid:
                 mask |= 1 << w
         return mask
 
-    def _pair_table(self, mode):
-        """The meet (mode inf) or join (mode sup) of every pair, or None if one is missing."""
-        sets, of = (self._down, self._down_of) if mode == "inf" else (self._up, self._up_of)
-        table = []
-        for a in sets:
-            row = [of.get(a & b) for b in sets]
-            if None in row:
-                return None
-            table.append(row)
-        return table
-
     def is_lattice(self):
         """Whether every pair of elements has a meet and a join.
 
         On a finite carrier this implies every subset (the empty one
         included) has an infimum and a supremum, which is the setting
-        where the four residuation conditions are a theorem.  On a bare
-        partial order they can genuinely come apart; see the tests for
-        a six-element witness.
+        where condition C agrees with A, B and D.  On a bare partial
+        order it can come apart from them; see the tests for a
+        six-element witness.
         """
-        return self._pair_table("inf") is not None and self._pair_table("sup") is not None
+        n = self.size
+        return all(
+            self._pair_bound(a, b, mode) is not None
+            for mode in MODES
+            for a in range(n)
+            for b in range(a + 1, n)
+        )
 
 
 @dataclass
 class ConditionReport:
-    """Outcome of one condition in one mode.
-
-    ``exhaustive`` is False only when condition C was decided on a
-    sample of subsets (a carrier that is not a lattice, with more than
-    six elements); then ``holds`` means no sampled subset failed.
-    """
+    """Outcome of one condition in one mode; every check is exact."""
 
     condition: str
     mode: str
     holds: bool
     witnesses: list
-    exhaustive: bool = True
 
     def __post_init__(self):
         assert self.holds == (not self.witnesses)
@@ -208,116 +198,91 @@ class EquivalenceReport:
     reports: dict
 
 
-def _subsets_for_c(G, rng=None):
-    n = G.size
-    idx = range(n)
-    if n <= 6:
-        for r in range(n + 1):
-            yield from itertools.combinations(idx, r)
-        return
-    # larger carriers: empty set, singletons, the full set, and a sample
-    yield ()
-    for i in idx:
-        yield (i,)
-    yield tuple(idx)
-    rng = rng or np.random.default_rng(0)
-    for _ in range(64):
-        mask = rng.random(n) < 0.5
-        yield tuple(i for i in idx if mask[i])
+def _c_failure(G, S, mode):
+    """A subset of the non-principal residual set S with an infimum outside S, or None.
 
-
-def _condition_c_lattice(G, mode, note):
-    """Condition C on a lattice from the empty set and pairs.
-
-    In a lattice a map that preserves the empty infimum and binary meets
-    preserves every finite meet (induction on the size of the set), so
-    these checks decide C over all subsets in O(n^3).  Mode sup is the
-    mirror, with joins.
+    Mode sup reads supremum for infimum and down for up throughout.  S is
+    an up-set without a least element, so an infimum of S lies outside it
+    and is the one to use.  Otherwise the elements m outside S are tried
+    in order: m is the infimum of some subset of S iff it is the infimum
+    of the part of S above it.  The subset returned is the first pair of
+    minimal elements of that part that has an infimum (on a lattice, the
+    first pair), else all of its minimal elements, which have the same
+    infimum as the part.  The infimum of two distinct minimal elements
+    lies above m, so it cannot be in S without equalling both.
     """
-    n, lab, add = G.size, G.carrier, G.add
-    table = G._pair_table(mode)
-    empty = G._bound(0, mode)  # the top (inf) or bottom (sup) element
-    for u in range(n):
-        if add[u][empty] != empty:
-            note((lab[u], ()))
-    for a, b in itertools.combinations(range(n), 2):
-        ab = table[a][b]
-        for u in range(n):
-            row = add[u]
-            if row[ab] != table[row[a]][row[b]]:
-                note((lab[u], (lab[a], lab[b])))
+    near, far = (G._up, G._down) if mode == "inf" else (G._down, G._up)
+    m = G._bound(S, mode)
+    if m is None:
+        outside = (x for x in range(G.size) if not S >> x & 1)
+        m = next((x for x in outside if G._bound(S & near[x], mode) == x), None)
+        if m is None:
+            return None
+    part = S & near[m]
+    ends = [a for a in range(G.size) if part >> a & 1 and part & far[a] == 1 << a]
+    pairs = itertools.combinations(ends, 2)
+    pair = next((p for p in pairs if G._pair_bound(*p, mode) is not None), None)
+    return pair or tuple(ends)
 
 
-def _condition_c_subsets(G, mode, rng, note):
-    """Condition C by enumerating subsets: all of them when n <= 6, else a sample."""
-    n, lab, add = G.size, G.carrier, G.add
-    for M in _subsets_for_c(G, rng):
-        ext = G._bound(sum(1 << m for m in M), mode)
-        if ext is None:
-            continue  # the condition only quantifies over sets whose inf/sup exists
-        for u in range(n):
-            shifted = G._bound(sum(1 << s for s in {add[u][m] for m in M}), mode)
-            if shifted != add[u][ext]:
-                note((lab[u], tuple(lab[m] for m in M)))
+def _failures(G, condition, mode):
+    """Witnesses against one condition, in scan order, possibly repeated.
+
+    Every condition reads the residual sets S(u, v): {w : u <= v + w} in
+    mode inf, an up-set by compatibility, and {w : v + w <= u} in mode
+    sup, a down-set.  A (an adjoint w exists), B (S has a least, resp.
+    greatest, member) and D (the infimum, resp. supremum, of S lies in S)
+    all say that S is principal, and fail at (u, v).  C (adding v
+    preserves every existing infimum, resp. supremum) fails at (v, M)
+    exactly when M is a subset of some S(u, v) whose infimum exists and
+    lies outside it, which a principal S cannot have.
+    """
+    lab = G.carrier
+    principal = G._up_of if mode == "inf" else G._down_of
+    for u in range(G.size):
+        for v in range(G.size):
+            S = G._residual_mask(u, v, mode)
+            if S in principal:
+                continue
+            if condition != "C":
+                yield (lab[u], lab[v])
+                continue
+            M = _c_failure(G, S, mode)
+            if M is not None:
+                yield (lab[v], tuple(lab[m] for m in M))
 
 
-def check_condition(G, condition, mode, rng=None):
-    """Evaluate one of the four residuation conditions.
+def check_condition(G, condition, mode):
+    """Decide one of the four residuation conditions exactly.
 
     mode "inf" checks the version whose residual sets are {w' : u <= v + w'}
     and whose distribution law is over infima; mode "sup" is the mirror.
-    A, B and D are decided over every pair (u, v).  C is decided exactly
-    on a lattice (from the empty set and pairs) and on carriers of at
-    most six elements (every subset); otherwise it is checked on a seeded
-    sample of subsets and the report says ``exhaustive=False``.
+    Witnesses of A, B and D are the pairs (u, v) whose residual set has no
+    least (greatest) member; a witness of C is (v, M) where M has an
+    infimum (supremum) e but v + e is not the infimum (supremum) of the
+    v + m.  At most ``MAX_WITNESSES`` distinct witnesses are listed.
     """
     condition = condition.upper()
     if condition not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    n = G.size
-    lab = G.carrier
     witnesses = []
-
-    def note(w):
-        if len(witnesses) < MAX_WITNESSES:
+    for w in _failures(G, condition, mode):
+        if w not in witnesses:
             witnesses.append(w)
-
-    if condition == "C":
-        lattice = G.is_lattice()
-        if lattice:
-            _condition_c_lattice(G, mode, note)
-        else:
-            _condition_c_subsets(G, mode, rng, note)
-        exhaustive = lattice or n <= 6
-        return ConditionReport(condition, mode, not witnesses, witnesses, exhaustive)
-
-    principal = G._up_of if mode == "inf" else G._down_of
-    for u in range(n):
-        for v in range(n):
-            S = G._residual_mask(u, v, mode)
-            if condition == "A":
-                # some w makes (u <= v + w') / (v + w' <= u) equivalent to w <= w' / w' <= w
-                ok = S in principal
-            elif condition == "B":
-                ok = G._pick(S, mode) is not None
-            else:  # D: the bound is attained, u <= v + inf S / v + sup S <= u
-                ext = G._bound(S, mode)
-                if ext is None:
-                    ok = False
-                else:
-                    w = G.add[v][ext]
-                    ok = G.leq[u][w] if mode == "inf" else G.leq[w][u]
-            if not ok:
-                note((lab[u], lab[v]))
-
+            if len(witnesses) == MAX_WITNESSES:
+                break
     return ConditionReport(condition, mode, not witnesses, witnesses)
 
 
-def check_equivalence(G, mode, rng=None):
-    """All four conditions must agree on any valid structure; report whether they do."""
-    reports = {c: check_condition(G, c, mode, rng) for c in CONDITIONS}
+def check_equivalence(G, mode):
+    """Check all four conditions and report whether they agree.
+
+    A, B and D agree on every valid structure; C agrees with them when
+    the order is a lattice (see the module docstring).
+    """
+    reports = {c: check_condition(G, c, mode) for c in CONDITIONS}
     outcomes = {r.holds for r in reports.values()}
     return EquivalenceReport(mode, len(outcomes) == 1, reports)
 
@@ -331,8 +296,9 @@ def residual(G, u, v, mode):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    picked = G._pick(G._residual_mask(G.index(u), G.index(v), mode), mode)
-    return None if picked is None else G.carrier[picked]
+    principal = G._up_of if mode == "inf" else G._down_of
+    w = principal.get(G._residual_mask(G.index(u), G.index(v), mode))
+    return None if w is None else G.carrier[w]
 
 
 # ---------------------------------------------------------------------------
@@ -498,53 +464,62 @@ def random_groupoid(rng, size, max_tries=400):
         raise ValueError("size must be >= 1")
     labels = [f"e{i}" for i in range(n)]
     for _ in range(max_tries):
-        ranking = [int(x) for x in rng.permutation(n)]  # ranking[r] = element at rank r
-        rank = {e: r for r, e in enumerate(ranking)}
-        add = [[0] * n for _ in range(n)]
-        style = rng.random()
-        for i in range(n):
-            for j in range(i, n):
-                if style < 0.4:
-                    k = int(rng.integers(n))
-                elif style < 0.7:
-                    k = ranking[min(rank[i] + rank[j], n - 1)]
-                else:
-                    k = ranking[max(rank[i], rank[j])]
-                add[i][j] = add[j][i] = k
-        if style >= 0.4 and rng.random() < 0.3 and n > 1:
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            k = int(rng.integers(n))
-            add[i][j] = add[j][i] = k
-
-        # random partial order with edges forward along the ranking (full
-        # chain half the time), then reflexive-transitive closure
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        chain = rng.random() < 0.5
-        for i in range(n):
-            for j in range(n):
-                if i != j and rank[i] < rank[j] and (chain or rng.random() < 0.6):
-                    leq[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if leq[i][k] and leq[k][j]:
-                        leq[i][j] = True
-
-        # greatest compatible sub-relation
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    if i == j or not leq[i][j]:
-                        continue
-                    if any(not leq[add[i][w]][add[j][w]] for w in range(n)):
-                        leq[i][j] = False
-                        changed = True
-
+        add, leq = _random_tables(rng, n)
         if n > 1 and not any(leq[i][j] for i in range(n) for j in range(n) if i != j):
             continue  # degenerate: order collapsed to equality
         G = FiniteOrderedGroupoid(labels, [[labels[k] for k in row] for row in add], leq)
         if G.is_lattice():
             return G
     raise RuntimeError(f"could not generate a nondegenerate groupoid of size {n}")
+
+
+def _random_tables(rng, n):
+    """One draw of :func:`random_groupoid`'s generator, unfiltered.
+
+    Returns the addition table and the compatible order as index
+    matrices; the order may be the bare equality or not a lattice.
+    """
+    ranking = [int(x) for x in rng.permutation(n)]  # ranking[r] = element at rank r
+    rank = {e: r for r, e in enumerate(ranking)}
+    add = [[0] * n for _ in range(n)]
+    style = rng.random()
+    for i in range(n):
+        for j in range(i, n):
+            if style < 0.4:
+                k = int(rng.integers(n))
+            elif style < 0.7:
+                k = ranking[min(rank[i] + rank[j], n - 1)]
+            else:
+                k = ranking[max(rank[i], rank[j])]
+            add[i][j] = add[j][i] = k
+    if style >= 0.4 and rng.random() < 0.3 and n > 1:
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        k = int(rng.integers(n))
+        add[i][j] = add[j][i] = k
+
+    # random partial order with edges forward along the ranking (full
+    # chain half the time), then reflexive-transitive closure
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    chain = rng.random() < 0.5
+    for i in range(n):
+        for j in range(n):
+            if i != j and rank[i] < rank[j] and (chain or rng.random() < 0.6):
+                leq[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if leq[i][k] and leq[k][j]:
+                    leq[i][j] = True
+
+    # greatest compatible sub-relation
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or not leq[i][j]:
+                    continue
+                if any(not leq[add[i][w]][add[j][w]] for w in range(n)):
+                    leq[i][j] = False
+                    changed = True
+    return add, leq

@@ -21,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infsup.extreal as xr
+import infsup.functions as functions
 from infsup.extreal import UpReal, down, up
 from infsup.calculus import biconjugate
 from infsup.functions import (
@@ -50,6 +51,7 @@ from infsup.functions import (
 from infsup.laws import (
     random_closed_convex_fn,
     random_convex_pl,
+    random_improper_split,
     random_nonconvex_pl,
     random_pl,
 )
@@ -777,6 +779,44 @@ def test_function_equality():
     assert ConstTop() != ConstBottom()
     assert improper_split(0.0, 1.0) == improper_split(0.0, 1.0)
     assert improper_split(0.0, 1.0) != improper_split(0.0, 2.0)
+
+
+def _stored_bits(f):
+    """Every number a function or dual element stores, as exact hex strings."""
+
+    def h(x):
+        return None if x is None else x.hex()
+
+    if isinstance(f, PLProper):
+        return ([*map(h, f.xs)], [*map(h, f.vs)], h(f.slope_left), h(f.slope_right), h(f.dom_lo), h(f.dom_hi))
+    if isinstance(f, AffineDual):
+        return (_stored_bits(f.xi), h(f.r))
+    if isinstance(f, DualElem):
+        return (f.kind, h(f.a))
+    return (h(f.lo), h(f.hi))
+
+
+def test_repr_evaluates_back_bit_for_bit():
+    rng = np.random.default_rng(11)
+    objs = [random_closed_convex_fn(rng) for _ in range(40)]
+    objs += [random_pl(rng) for _ in range(20)] + [random_nonconvex_pl(rng) for _ in range(10)]
+    objs += [random_improper_split(rng) for _ in range(10)]
+    third = 1 / 3
+    objs += [
+        PLProper([0.1, third, 2.0], [-0.0, 1e300, 7e-5], slope_left=-third, dom_hi=2.0),
+        pl([(0.1, third)], slope_left=-math.pi, slope_right=5e-324),
+        ImproperSplit(-INF, 0.1),
+        ImproperSplit(third, INF),
+        ImproperSplit(-1e-310, 2 / 3),
+        ConstTop(),
+        ConstBottom(),
+    ]
+    for a, r in rng.standard_normal((10, 2)):
+        objs += [DualElem.proper(a), DualElem.hat(a), AffineDual(DualElem.hat(a), r)]
+    objs.append(AffineDual(DualElem.proper(-0.1), r=-0.0))
+    for f in objs:
+        g = eval(repr(f), vars(functions))
+        assert type(g) is type(f) and _stored_bits(g) == _stored_bits(f), repr(f)
 
 
 def test_generators_produce_advertised_shapes():

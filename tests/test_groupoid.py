@@ -9,6 +9,7 @@ from infsup.groupoid import (
     MAX_WITNESSES,
     FiniteOrderedGroupoid,
     ScaledMonoid,
+    _random_tables,
     check_condition,
     check_conlinear,
     check_equivalence,
@@ -167,7 +168,7 @@ def test_random_groupoids_agree_on_all_conditions():
             G.leq[i][j] for i in range(G.size) for j in range(G.size) if i != j
         )
         for mode in ("inf", "sup"):
-            rep = check_equivalence(G, mode, rng)
+            rep = check_equivalence(G, mode)
             assert rep.agree, (G.carrier, G.add, G.leq, mode)
 
 
@@ -261,10 +262,9 @@ def test_scaled_monoid_rejects_labels_outside_the_carrier():
 
 
 # ---------------------------------------------------------------------------
-# The list-based checker the bitmask implementation replaced, kept as the
-# reference it must reproduce: residual sets as lists, infima by scanning
-# lower bounds, and condition C over every subset (or, with more than six
-# elements, the same seeded sample of subsets).
+# A list-based reference checker: residual sets as lists, infima by
+# scanning lower bounds, and condition C over every subset (or, with more
+# than six elements and ``full`` unset, a seeded sample of subsets).
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +307,15 @@ def _ref_subsets(n, full=False):
 
 def _ref_check(G, condition, mode, full=False):
     n, lab = G.size, G.carrier
-    ext_of = (lambda S: _ref_glb(G, S)) if mode == "inf" else (lambda S: _ref_lub(G, S))
+    ref_ext = _ref_glb if mode == "inf" else _ref_lub
+    cache = {}  # full enumeration meets the same sets many times
+
+    def ext_of(S):
+        key = frozenset(S)
+        if key not in cache:
+            cache[key] = ref_ext(G, key)
+        return cache[key]
+
     witnesses = []
     if condition == "C":
         for M in _ref_subsets(n, full):
@@ -333,6 +341,14 @@ def _ref_check(G, condition, mode, full=False):
             if not ok:
                 witnesses.append((lab[u], lab[v]))
     return witnesses
+
+
+def _ref_fails_c(G, mode, witness):
+    """Whether the witness (v, M) breaks condition C by its definition."""
+    ext_of = _ref_glb if mode == "inf" else _ref_lub
+    v, M = G.index(witness[0]), [G.index(m) for m in witness[1]]
+    ext = ext_of(G, M)
+    return ext is not None and ext_of(G, [G.add[v][m] for m in M]) != G.add[v][ext]
 
 
 def _ref_residual(G, u, v, mode):
@@ -364,10 +380,46 @@ def discrete7():
     )
 
 
+# A seven-element non-lattice (e2, e3 <= e1 and e6 <= e5, nothing else)
+# where mode sup breaks C at one two-element subset only: e2 join e3 = e1
+# and e3 + e1 = e1, but e3 + e2 = e3 + e3 = e3.
+PINNED7_ADD = [
+    [0, 0, 0, 0, 0, 5, 6],
+    [0, 1, 1, 1, 4, 5, 6],
+    [0, 1, 2, 3, 4, 5, 6],
+    [0, 1, 3, 3, 4, 5, 6],
+    [0, 4, 4, 4, 4, 5, 6],
+    [5, 5, 5, 5, 5, 5, 5],
+    [6, 6, 6, 6, 6, 5, 6],
+]
+
+
+def pinned7():
+    labels = [f"e{i}" for i in range(7)]
+    strict = {(2, 1), (3, 1), (6, 5)}
+    leq = [[i == j or (i, j) in strict for j in range(7)] for i in range(7)]
+    return FiniteOrderedGroupoid(labels, [[labels[k] for k in row] for row in PINNED7_ADD], leq)
+
+
+def crown8():
+    """a, b, c above m, each pair of them also above its own lower bound, and a top t.
+
+    The addition is t when a summand is in U = {a, b, c, t}, else m.  For
+    v outside U the residual set {w : t <= v + w} is U, whose infimum is
+    m; no two of a, b, c have a meet, so C's witness needs all three.
+    """
+    labels = ["m", "xab", "xbc", "xac", "a", "b", "c", "t"]
+    below = {"m": "abct", "xab": "abt", "xbc": "bct", "xac": "act", "a": "t", "b": "t", "c": "t"}
+    leq = [[x == y or y in below.get(x, "") for y in labels] for x in labels]
+    table = [["t" if x in "abct" or y in "abct" else "m" for y in labels] for x in labels]
+    return FiniteOrderedGroupoid(labels, table, leq)
+
+
 def _reference_carriers():
     rng = np.random.default_rng(2024)
     out = [random_groupoid(rng, n) for n in range(1, 8) for _ in range(8)]
-    return out + [nonlattice6(), discrete7(), up3(), down3(), saturating((16,)), saturating((4, 4))]
+    out += [nonlattice6(), discrete7(), pinned7(), crown8(), up3(), down3()]
+    return out + [saturating((16,)), saturating((4, 4))]
 
 
 def test_matches_the_list_based_reference():
@@ -377,14 +429,12 @@ def test_matches_the_list_based_reference():
                 want = _ref_check(G, c, mode)[: MAX_WITNESSES]
                 rep = check_condition(G, c, mode)
                 assert rep.witnesses == want, (G.carrier, c, mode)
-                assert rep.exhaustive
-            rep, want = check_condition(G, "C", mode), _ref_check(G, "C", mode)
-            if not G.is_lattice():
-                # the same subsets in the same order, sampled or not
-                assert rep.witnesses == want[:MAX_WITNESSES], (G.carrier, mode)
-            elif G.size <= 6:
-                assert rep.holds == (not want), (G.carrier, mode)
-            elif want:
+            rep = check_condition(G, "C", mode)
+            assert all(_ref_fails_c(G, mode, w) for w in rep.witnesses), (G.carrier, mode)
+            assert len(set(rep.witnesses)) == len(rep.witnesses), (G.carrier, mode)
+            if G.size <= 10:
+                assert rep.holds == (not _ref_check(G, "C", mode, full=True)), (G.carrier, mode)
+            elif _ref_check(G, "C", mode):
                 # the sampled reference found a real counterexample
                 assert not rep.holds, (G.carrier, mode)
             for u in G.carrier:
@@ -436,7 +486,6 @@ def test_pair_reduced_c_equals_full_enumeration_on_lattices():
             rep = check_condition(G, "C", mode)
             want = not _ref_check(G, "C", mode, full=True)
             assert rep.holds == want, (G.carrier, mode)
-            assert rep.exhaustive
             assert all(len(M) in (0, 2) for _, M in rep.witnesses)
             seen.add(want)
     assert seen == {True, False}
@@ -448,18 +497,43 @@ def test_c_on_a_lattice_reports_a_pair_witness():
     for mode in ("inf", "sup"):
         for c in "ABCD":
             rep = check_condition(G, c, mode)
-            assert not rep.holds and rep.exhaustive, (c, mode)
+            assert not rep.holds, (c, mode)
     rep = check_condition(G, "C", "inf")
     # x000 + (x001 meet x010) = x000 + x000 = x000, but the meet of
     # x000 + x001 = x111 and x000 + x010 = x111 is x111
     assert rep.witnesses[0] == ("x000", ("x001", "x010"))
+    # every u above x000 has this residual set for v = x000; it is listed once
+    assert rep.witnesses.count(rep.witnesses[0]) == 1
 
 
-def test_c_on_a_large_non_lattice_is_sampled():
-    G = discrete7()
+def test_c_on_a_large_non_lattice_is_exact():
+    G = pinned7()
     assert not G.is_lattice()
+    assert check_condition(G, "C", "inf").holds
+    rep = check_condition(G, "C", "sup")
+    assert rep.witnesses == [("e3", ("e2", "e3"))]
+    assert _ref_check(G, "C", "sup", full=True) == rep.witnesses
+    # the reference's seeded 64-subset sample misses the one failing subset
+    assert _ref_check(G, "C", "sup") == []
     for mode in ("inf", "sup"):
-        rep = check_condition(G, "C", mode)
-        assert rep.holds and not rep.exhaustive
-        assert check_condition(G, "A", mode).exhaustive
-    assert check_condition(nonlattice6(), "C", "inf").exhaustive
+        assert check_condition(discrete7(), "C", mode).holds
+    assert check_condition(crown8(), "C", "inf").witnesses[0] == ("m", ("a", "b", "c"))
+
+
+def test_c_equals_full_enumeration_on_unfiltered_draws():
+    # random_groupoid keeps only lattices; its raw draws also give
+    # non-lattices and discrete orders
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        add, leq = _random_tables(rng, n)
+        labels = [f"e{i}" for i in range(n)]
+        G = FiniteOrderedGroupoid(labels, [[labels[k] for k in row] for row in add], leq)
+        for mode in ("inf", "sup"):
+            rep = check_condition(G, "C", mode)
+            want = not _ref_check(G, "C", mode, full=True)
+            assert rep.holds == want, (add, leq, mode)
+            assert all(_ref_fails_c(G, mode, w) for w in rep.witnesses), (add, leq, mode)
+            seen.add((G.is_lattice(), want))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
