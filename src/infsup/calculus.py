@@ -10,7 +10,12 @@ The conjugate machinery rests on one primitive, the exact transform of
 a piecewise-linear function h into w -> sup_u (w*u - h(u)): the sup is
 Top outside the slope window set by h's infinite rays and otherwise is
 the upper envelope of the lines w -> x_i*w - v_i through h's
-breakpoints.  The transform is applied twice for biconjugation.
+breakpoints.  That envelope is the lower convex hull of the breakpoints
+read in the dual, so the transform is built on ``functions._lower_hull``,
+the same hull stack as ``closure_hull``.  The transform is applied twice
+for biconjugation.  At a hat of slope a the conjugate needs only the
+support function of the domain, ``_support``: the hat with offset r
+lies below g exactly when sup over dom g of a*x is at most r.
 
 The infimal convolution of proper functions does not go through the
 transform: its epigraph is the Minkowski sum of the two epigraphs, so
@@ -42,6 +47,7 @@ from .functions import (
     ImproperSplit,
     PLProper,
     UpFunction,
+    _lower_hull,
     _require_finite,
     _sign,
     affine_eval,
@@ -215,9 +221,8 @@ def _sup_linear_minus(g, a):
         return -INF if g.dom() is None else INF
     if not isinstance(g, PLProper):
         raise TypeError(f"not an up-space function: {type(g).__name__}")
-    if g.dom_lo == -INF and a < g.slope_left:
-        return INF
-    if g.dom_hi == INF and a > g.slope_right:
+    lo, hi = g.slope_window()
+    if a < lo or a > hi:
         return INF
     return max(a * x - v for x, v in zip(g.xs, g.vs))
 
@@ -225,59 +230,37 @@ def _sup_linear_minus(g, a):
 def _pl_legendre(f):
     """Transform of a PLProper f: w -> sup_u (w*u - f(u)), exactly.
 
-    The result is Top outside the window [slope_left, slope_right]
-    (each bound dropping away when the corresponding domain side is
-    bounded) and inside the window is the upper envelope of the lines
-    w -> x_i*w - v_i, one per breakpoint.  An empty window, which only
-    a non-convex f can produce, means the transform is Top everywhere.
+    The result is Top outside ``f.slope_window()`` and inside it is the
+    upper envelope of the lines w -> x_i*w - v_i, one per breakpoint.
+    The lines that ever win are the vertices of the lower convex hull of
+    the breakpoints, and two neighbours (x0, v0), (x1, v1) cross at their
+    chord slope s = (v1 - v0) / (x1 - x0) with value x0*s - v0; the end
+    lines give the end slopes.  An empty window, which only a non-convex
+    f can produce, means the transform is Top everywhere.
     """
-    w_lo = f.slope_left if f.dom_lo == -INF else -INF
-    w_hi = f.slope_right if f.dom_hi == INF else INF
+    w_lo, w_hi = f.slope_window()
     if w_lo > w_hi:
         return ConstTop()
-
-    lines = [(x, -v) for x, v in zip(f.xs, f.vs)]
-    keep = []
-    for m, b in lines:
-        while len(keep) >= 2:
-            (m1, b1), (m2, b2) = keep[-2], keep[-1]
-            # the middle line never wins if the new line overtakes it no
-            # later than the point where it overtook its predecessor
-            if (b1 - b) * (m2 - m1) <= (b1 - b2) * (m - m1):
-                keep.pop()
-            else:
-                break
-        keep.append((m, b))
-
-    if len(keep) == 1:
-        m, b = keep[0]
-        return PLProper.make(
-            [(0.0, b)], slope_left=m, slope_right=m, dom_lo=w_lo, dom_hi=w_hi
-        )
-    breaks = []
-    for j in range(len(keep) - 1):
-        (m1, b1), (m2, b2) = keep[j], keep[j + 1]
-        w = (b1 - b2) / (m2 - m1)
-        breaks.append((w, m1 * w + b1))
-    return PLProper.make(
-        breaks,
-        slope_left=keep[0][0],
-        slope_right=keep[-1][0],
-        dom_lo=w_lo,
-        dom_hi=w_hi,
-    )
+    xs, vs, ws = _lower_hull(f.xs, f.vs)
+    if not ws:
+        return PLProper._from_sorted([0.0], [-vs[0]], xs[0], xs[0], w_lo, w_hi)
+    return PLProper._from_sorted(ws, [x * w - v for x, v, w in zip(xs, vs, ws)], xs[0], xs[-1], w_lo, w_hi)
 
 
-def _halfline_includes(a, r, interval):
-    """Whether the hat's favorable set {x : a*x - r <= 0} covers interval."""
+def _support(a, interval):
+    """sup of a*x over the interval (-inf if it is empty): the hat rule's one formula.
+
+    The hat of slope a and offset r, Bottom where a*x - r <= 0, lies
+    below a function with domain I iff _support(a, I) <= r.
+    """
     if interval is None:
-        return True
+        return -INF
     lo, hi = interval
     if a > 0:
-        return a * hi <= r
+        return a * hi
     if a < 0:
-        return a * lo <= r
-    return r >= 0
+        return a * lo
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +289,7 @@ class ConjugateCurve:
         return as_down(idif(u, UpReal(float(r))))
 
     def hat_value(self, a, r):
-        if _halfline_includes(a, float(r), self.base_dom):
+        if _support(a, self.base_dom) <= float(r):
             return DownReal.bottom()
         return DownReal.top()
 
@@ -406,7 +389,7 @@ def minorant_conditions(g, xi, r):
         raise TypeError("minorant_conditions expects a DualElem")
     r = _require_finite(r, "r")
     if xi.is_hat:
-        incl = _halfline_includes(xi.a, r, g.dom())
+        incl = _support(xi.a, g.dom()) <= r
         return MinorantReport(
             a_pointwise=incl,
             sup_dif=UpReal.bottom() if incl else UpReal.top(),
@@ -466,8 +449,8 @@ def _epigraph_sum(f, g):
     contains whole vertical lines, so the convolution is Bottom.
     """
     lo, hi = f.dom_lo + g.dom_lo, f.dom_hi + g.dom_hi
-    L = max((h.slope_left for h in (f, g) if h.dom_lo == -INF), default=-INF)
-    R = min((h.slope_right for h in (f, g) if h.dom_hi == INF), default=INF)
+    (fl, fr), (gl, gr) = f.slope_window(), g.slope_window()
+    L, R = max(fl, gl), min(fr, gr)
     if L > R:
         return ConstBottom()
     xf, vf, xg, vg = f.xs, f.vs, g.xs, g.vs
@@ -488,13 +471,7 @@ def _epigraph_sum(f, g):
             j += 1
         xs.append(xf[i] + xg[j])
         vs.append(vf[i] + vg[j])
-    return PLProper.make(
-        zip(xs, vs),
-        slope_left=L if lo == -INF else None,
-        slope_right=R if hi == INF else None,
-        dom_lo=lo,
-        dom_hi=hi,
-    )
+    return PLProper._from_sorted(xs, vs, L if lo == -INF else None, R if hi == INF else None, lo, hi)
 
 
 def infconv(f, g):
@@ -537,21 +514,6 @@ def _down_close(p, q, tol):
     return p == q
 
 
-def _support_along(a, interval):
-    """The split threshold: a times the far end of the interval along a.
-
-    Empty intervals give Bottom so that the down-sum rule absorbs them.
-    """
-    if interval is None:
-        return DownReal.bottom()
-    lo, hi = interval
-    if a > 0:
-        return DownReal(a * hi)
-    if a < 0:
-        return DownReal(a * lo)
-    return DownReal(0.0)
-
-
 def infconv_conjugate_check(f, g, xi, r, tol=1e-9):
     """Both routes to the conjugate of a convolution, with equality flag.
 
@@ -567,7 +529,7 @@ def infconv_conjugate_check(f, g, xi, r, tol=1e-9):
     r = _require_finite(r, "r")
     lhs = conjugate(infconv(f, g), xi, r)
     if xi.is_hat:
-        s = ssum(_support_along(xi.a, f.dom()), _support_along(xi.a, g.dom()))
+        s = ssum(DownReal(_support(xi.a, f.dom())), DownReal(_support(xi.a, g.dom())))
         rhs = DownReal.bottom() if s <= DownReal(r) else DownReal.top()
     else:
         rhs = ssum(

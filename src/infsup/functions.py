@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import islice
 
 from .extreal import (
@@ -203,6 +203,10 @@ class PLProper(UpFunction):
 
     Values at finite domain endpoints are attained, so the epigraph is
     closed by construction.
+
+    ``xs`` and ``vs`` are never mutated after construction: every
+    operation builds new lists, so anything derived from them (slopes,
+    convexity) stays valid for the instance's lifetime.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
@@ -257,8 +261,11 @@ class PLProper(UpFunction):
         removed, and an affine function is anchored at x = 0.
         """
         pts = sorted((float(x), float(v)) for x, v in breaks)
-        xs = [p[0] for p in pts]
-        vs = [p[1] for p in pts]
+        return cls._from_sorted([p[0] for p in pts], [p[1] for p in pts], slope_left, slope_right, dom_lo, dom_hi)
+
+    @classmethod
+    def _from_sorted(cls, xs, vs, slope_left, slope_right, dom_lo, dom_hi):
+        """:meth:`make` on float lists already sorted by x (read, never mutated): every check, no sort."""
         if not xs:
             raise ValueError("need at least one breakpoint")
         if not _strictly_increasing(xs):
@@ -277,17 +284,11 @@ class PLProper(UpFunction):
 
         sl, sr = slope_left, slope_right
         if math.isfinite(dom_lo):
-            v_at = value_at(dom_lo)
-            keep = [(x, v) for x, v in zip(xs, vs) if x > dom_lo]
-            xs = [dom_lo] + [p[0] for p in keep]
-            vs = [v_at] + [p[1] for p in keep]
-            sl = None
+            v_at, i = value_at(dom_lo), bisect_right(xs, dom_lo)
+            xs, vs, sl = [dom_lo] + xs[i:], [v_at] + vs[i:], None
         if math.isfinite(dom_hi):
-            v_at = value_at(dom_hi)
-            keep = [(x, v) for x, v in zip(xs, vs) if x < dom_hi]
-            xs = [p[0] for p in keep] + [dom_hi]
-            vs = [p[1] for p in keep] + [v_at]
-            sr = None
+            v_at, i = value_at(dom_hi), bisect_left(xs, dom_hi)
+            xs, vs, sr = xs[:i] + [dom_hi], vs[:i] + [v_at], None
 
         # drop collinear interior breakpoints in one pass: the stack holds a
         # prefix with none left, so a deletion only exposes the triple that
@@ -343,6 +344,18 @@ class PLProper(UpFunction):
         if self.slope_right is not None:
             out.append(self.slope_right)
         return out
+
+    def slope_window(self):
+        """Slopes (lo, hi) that affine minorants may have; lo > hi means there are none.
+
+        A ray to -inf with slope s admits only a >= s, a ray to +inf
+        only a <= s, and a bounded side sets no limit.  The conjugate
+        curve is finite exactly on this window.
+        """
+        return (
+            self.slope_left if self.dom_lo == -INF else -INF,
+            self.slope_right if self.dom_hi == INF else INF,
+        )
 
     def is_convex(self):
         s = self.all_slopes()
@@ -435,7 +448,7 @@ class DownFunction:
         return hash(("DownFunction", type(self.mirror).__name__))
 
     def __repr__(self):
-        return f"DownFunction(-({self.mirror!r}))"
+        return f"DownFunction({self.mirror!r})"
 
 
 def negate_fn(f):
@@ -508,64 +521,64 @@ def fn_allclose(f, g, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
+def _lower_hull(xs, vs):
+    """Lower convex hull of the points (xs[i], vs[i]), xs strictly increasing.
+
+    Returns the vertices hx, hv and the chord slopes hs[k] = (hv[k + 1] -
+    hv[k]) / (hx[k + 1] - hx[k]).  One stack pass: the top vertex goes
+    while the chord into it is at least as steep as the chord on to the
+    incoming point, so hs strictly increases as computed, and an input
+    whose chord slopes already do comes back whole.  ``closure_hull``
+    clips this hull to the slope window; ``calculus._pl_legendre`` reads
+    it in the dual, where hs are the conjugate's breakpoints.
+    """
+    hx, hv, hs = xs[:1], vs[:1], []
+    for x, v in zip(islice(xs, 1, None), islice(vs, 1, None)):
+        s = (v - hv[-1]) / (x - hx[-1])
+        while hs and hs[-1] >= s:
+            hs.pop()
+            hx.pop()
+            hv.pop()
+            s = (v - hv[-1]) / (x - hx[-1])
+        hs.append(s)
+        hx.append(x)
+        hv.append(v)
+    return hx, hv, hs
+
+
 def closure_hull(f):
     """Closed convex hull: the function whose epigraph is cl co(epi f).
 
     An improper function's representation is already closed and
     convex.  For a piecewise-linear proper function the hull is the
     supremum of all affine minorants a*x + b.  A slope a admits a
-    minorant iff it respects the infinite rays (a >= slope_left when the
-    domain extends to -inf, a <= slope_right when it extends to +inf);
-    within that slope window the best offset is b = min_i (v_i - a*x_i)
-    over the breakpoints, because canonical form makes every domain
-    endpoint a breakpoint and the rays bind exactly at the end
-    breakpoints for admissible slopes.  Geometrically that is the lower
-    convex hull of the breakpoints with its end slopes clipped to the
-    window; an empty window means no affine minorant exists at all and
-    the hull collapses to ConstBottom.
+    minorant iff it lies in :meth:`PLProper.slope_window`; within it
+    the best offset is b = min_i (v_i - a*x_i) over the breakpoints,
+    because canonical form makes every domain endpoint a breakpoint and
+    the rays bind exactly at the end breakpoints for admissible slopes.
+    Geometrically that is the lower convex hull of the breakpoints with
+    its end slopes clipped to the window; an empty window means no
+    affine minorant exists at all and the hull collapses to ConstBottom.
     """
     if isinstance(f, ImproperSplit):
         return f
     if not isinstance(f, PLProper):
         raise TypeError(f"not an up-space function: {type(f).__name__}")
 
-    a_lo = f.slope_left if f.dom_lo == -INF else -INF
-    a_hi = f.slope_right if f.dom_hi == INF else INF
+    a_lo, a_hi = f.slope_window()
     if a_lo > a_hi:
         return ConstBottom()
-
-    pts = list(zip(f.xs, f.vs))
-    hull = []
-    for x, v in pts:
-        while len(hull) >= 2:
-            (x1, v1), (x2, v2) = hull[-2], hull[-1]
-            # keep only strict right turns: (x2,v2) above or on the chord
-            # from (x1,v1) to (x,v) means it is not a lower-hull vertex
-            if (v2 - v1) * (x - x2) >= (v - v2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, v))
-
-    def slope(p, q):
-        return (q[1] - p[1]) / (q[0] - p[0])
-
+    xs, vs, ss = _lower_hull(f.xs, f.vs)
+    # an end vertex on or above the window's ray drawn from its neighbour
+    # is not a hull vertex; clip those by moving the two end indices
+    i, j = 0, len(xs)
     if a_lo > -INF:
-        while len(hull) >= 2 and slope(hull[0], hull[1]) <= a_lo:
-            hull.pop(0)
+        while j - i >= 2 and ss[i] <= a_lo:
+            i += 1
     if a_hi < INF:
-        while len(hull) >= 2 and slope(hull[-2], hull[-1]) >= a_hi:
-            hull.pop()
-
-    xs = [p[0] for p in hull]
-    vs = [p[1] for p in hull]
-    return PLProper.make(
-        list(zip(xs, vs)),
-        slope_left=None if f.dom_lo > -INF else a_lo,
-        slope_right=None if f.dom_hi < INF else a_hi,
-        dom_lo=f.dom_lo,
-        dom_hi=f.dom_hi,
-    )
+        while j - i >= 2 and ss[j - 2] >= a_hi:
+            j -= 1
+    return PLProper._from_sorted(xs[i:j], vs[i:j], f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -666,6 +666,44 @@ def test_infconv_matches_the_conjugate_route():
     assert names == {"PLProper", "ConstBottom"}
 
 
+def test_conjugate_breakpoints_are_chord_slopes():
+    # the duality the hull kernel rests on: for convex f the lower hull is
+    # f itself, so inside its domain the conjugate breaks exactly at f's
+    # chord slopes s_i, with values x_i*s_i - v_i, bit for bit
+    rng = np.random.default_rng(1004)
+    sides = [(lb, rb) for lb in (False, True) for rb in (False, True)]
+    checked = 0
+    for i in range(400):
+        scale = (1e-3, 1.0, 1e3, 1e6)[i % 4]
+        f = float_convex_pl(rng, int(rng.integers(2, 16)), scale, *sides[i // 4 % 4])
+        if not f.is_convex():
+            continue
+        curve = conjugate_curve(f).curve
+        inside = [(w, v) for w, v in zip(curve.xs, curve.vs) if curve.dom_lo < w < curve.dom_hi]
+        s = f.segment_slopes()
+        assert [w for w, _ in inside] == s, f
+        assert [v for _, v in inside] == [x * w - v for x, v, w in zip(f.xs, f.vs, s)], f
+        checked += 1
+    assert checked >= 350
+
+
+def test_transform_where_hull_chords_tie_in_rounding():
+    # the three chords agree to nine digits and are not convex, so the
+    # hull is the end chord alone; the transform must see the same two
+    # vertices, not a third whose rounded chord slope ties with its
+    # neighbour's and so repeats a conjugate breakpoint
+    f = PLProper(
+        [-0.026527516038629687, -0.014949895418674544, 0.06141203071389871, 0.0862180844910749],
+        [0.1109517481212274, 0.06512224487434343, -0.23715308934514012, -0.3353467648548177],
+        slope_left=-10.0,
+        slope_right=10.0,
+    )
+    hull = closure_hull(f)
+    assert len(hull.xs) == 2
+    assert conjugate_curve(f).curve.xs == [-10.0, *hull.segment_slopes(), 10.0]
+    assert fn_allclose(biconjugate(f), hull, 1e-15)
+
+
 class TestInfconvConjugate:
     def test_proper_frozen(self):
         rep = infconv_conjugate_check(abs_fn(), abs_fn(), DualElem.proper(0.5), 0.0)
@@ -710,6 +748,41 @@ class TestBiconjugate:
         for _ in range(35):
             g = random_nonconvex_pl(rng)
             assert fn_allclose(biconjugate(g), closure_hull(g), 1e-9), g
+
+    def test_float_data_across_scales(self):
+        # Fenchel-Moreau on non-dyadic data: f** = cl co f must hold to a
+        # scale-relative tolerance, on convex inputs and on convex inputs
+        # with some values pushed up or down (non-convex, same rays)
+        rng = np.random.default_rng(1003)
+        sides = [(lb, rb) for lb in (False, True) for rb in (False, True)]
+        n_nonconvex = 0
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            for lb, rb in sides:
+                for k in (1, 2, 5, 12):
+                    f = float_convex_pl(rng, k, scale, lb, rb)
+                    vs = [v + float(rng.choice([0.0, 3.0, -3.0])) * scale for v in f.vs]
+                    g = pl(list(zip(f.xs, vs)), f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+                    n_nonconvex += not g.is_convex()
+                    for h in (f, g):
+                        tol = 1e-9 * value_scale(h, h)
+                        out, hull = biconjugate(h), closure_hull(h)
+                        assert type(out) is type(hull), (h, out, hull)
+                        assert out.dom() == hull.dom(), (h, out, hull)
+                        refs = [hull, h] if h.is_convex() else [hull]
+                        for ref in refs:
+                            for x in sorted(set(out.xs) | set(ref.xs)):
+                                a, b = out.eval(x), ref.eval(x)
+                                assert abs(a.value - b.value) <= tol, (h, x, a, b)
+        assert n_nonconvex >= 30
+
+    def test_collinear_hull_vertices(self):
+        # the hull runs through three breakpoints on one line (slope 1/2):
+        # the middle one is no vertex, so the conjugate breaks once there
+        g = pl([(-2.0, 0.0), (-1.0, 3.0), (0.0, 1.0), (1.0, 3.0), (2.0, 2.0)], -1.0, 1.0)
+        expect = pl([(-2.0, 0.0), (2.0, 2.0)], -1.0, 1.0)
+        assert fn_allclose(closure_hull(g), expect, 0.0)
+        assert conjugate_curve(g).curve.xs == [-1.0, 0.5, 1.0]
+        assert fn_allclose(biconjugate(g), expect, 0.0)
 
     def test_double_well(self):
         g = pl([(-1.0, 0.0), (0.0, 2.0), (1.0, 0.0)], -1.0, 1.0)

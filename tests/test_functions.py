@@ -787,6 +787,8 @@ def _stored_bits(f):
     def h(x):
         return None if x is None else x.hex()
 
+    if isinstance(f, DownFunction):
+        return ("mirror", type(f.mirror).__name__, _stored_bits(f.mirror))
     if isinstance(f, PLProper):
         return ([*map(h, f.xs)], [*map(h, f.vs)], h(f.slope_left), h(f.slope_right), h(f.dom_lo), h(f.dom_hi))
     if isinstance(f, AffineDual):
@@ -814,6 +816,7 @@ def test_repr_evaluates_back_bit_for_bit():
     for a, r in rng.standard_normal((10, 2)):
         objs += [DualElem.proper(a), DualElem.hat(a), AffineDual(DualElem.hat(a), r)]
     objs.append(AffineDual(DualElem.proper(-0.1), r=-0.0))
+    objs += [negate_fn(f) for f in objs if isinstance(f, (PLProper, ImproperSplit))]
     for f in objs:
         g = eval(repr(f), vars(functions))
         assert type(g) is type(f) and _stored_bits(g) == _stored_bits(f), repr(f)
