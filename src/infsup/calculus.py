@@ -23,6 +23,14 @@ its graph is the two edge lists merged by slope (exact here:
 piecewise-linear convex functions are polyhedral, so the infimum in the
 convolution is attained and the result is closed).  The conjugate of a
 convolution is therefore an independent check on it.
+
+Point queries on a convex ``PLProper`` (``dirderiv``,
+``subdiff_extended``, ``is_subgradient``) cost O(log k): the function
+keeps its convexity (``PLProper.slope_rise``) after the first ask, and
+the sup behind the subgradient test bisects on chord slopes.  Grid
+oracles that check this module evaluate many points at once with
+``UpFunction.eval_many``, which returns the float64 encoding (Top =
++inf, Bottom = -inf) that ``extreal``'s ``*_arr`` operations take.
 """
 
 from __future__ import annotations
@@ -183,6 +191,13 @@ def is_subgradient(g, x0, xi):
     the conjugate inequality sup(a*x - g(x)) <= a*x0 - g(x0); a hat
     works iff its favorable halfline covers the domain, except at a Top
     point where only the constant Bottom hat survives.
+
+    The sup is :func:`_sup_linear_minus`: on a g whose slopes strictly
+    increase (every convex canonical g) it bisects for the first chord
+    with slope >= a and takes the max over the breakpoints within 2 of
+    it; a g convex only within COLLINEAR_TOL gets the full max, and a
+    non-convex g is rejected here.  With the slope order cached on g, a
+    call costs O(log k).
     """
     x0 = _require_finite(x0, "x0")
     if not isinstance(xi, DualElem):
@@ -216,6 +231,19 @@ def _sup_linear_minus(g, a):
     a falls outside the slope window of the infinite rays, and otherwise
     is attained at a breakpoint.  Functions with a Bottom point push the
     sup to +inf; the empty-domain function leaves it at -inf.
+
+    Along the breakpoints a*x - v rises across a chord of slope s < a
+    and falls across one with s > a.  When g's slopes strictly increase
+    as computed (``slope_rise() == 2``, so every convex g that
+    ``PLProper.make`` builds), the sup sits at the first breakpoint m
+    whose chord on to m + 1 has (vs[m+1] - vs[m]) / (xs[m+1] - xs[m])
+    >= a (the last breakpoint if there is none), found by bisection on
+    chord slopes computed on the fly.  Near a tie the rounded terms of
+    neighbouring breakpoints can come out ahead, so the answer is the
+    max of a*x - v over the breakpoints within 2 of m, which rounds as
+    the full max does: O(log k) per call once the slope order is cached.
+    Any other g, non-convex or convex only within COLLINEAR_TOL, takes
+    the max over every breakpoint.
     """
     if isinstance(g, ImproperSplit):
         return -INF if g.dom() is None else INF
@@ -224,7 +252,18 @@ def _sup_linear_minus(g, a):
     lo, hi = g.slope_window()
     if a < lo or a > hi:
         return INF
-    return max(a * x - v for x, v in zip(g.xs, g.vs))
+    xs, vs = g.xs, g.vs
+    if g.slope_rise() < 2:
+        return max(a * x - v for x, v in zip(xs, vs))
+    m, top = 0, len(xs) - 1
+    while m < top:
+        mid = (m + top) // 2
+        if (vs[mid + 1] - vs[mid]) / (xs[mid + 1] - xs[mid]) < a:
+            m = mid + 1
+        else:
+            top = mid
+    w = slice(max(m - 2, 0), m + 3)
+    return max(a * x - v for x, v in zip(xs[w], vs[w]))
 
 
 def _pl_legendre(f):

@@ -31,6 +31,8 @@ import operator
 from bisect import bisect_left, bisect_right
 from itertools import islice
 
+import numpy as np
+
 from .extreal import (
     DownReal,
     UpReal,
@@ -54,6 +56,16 @@ def _require_finite(x, what):
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _require_finite_array(xs, what):
+    """xs as a float64 array; a non-finite entry raises, naming the first one."""
+    x = np.asarray(xs, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{what}[{i}] must be finite, got {x.flat[i]}")
     return x
 
 
@@ -92,6 +104,14 @@ class UpFunction:
     """Base for the up-space representations; use the concrete classes."""
 
     def eval(self, x):
+        raise NotImplementedError
+
+    def eval_many(self, xs):
+        """``eval`` at every finite x of an array, as float64 with Top = +inf, Bottom = -inf.
+
+        That is the bulk encoding of ``extreal``'s ``*_arr`` operations;
+        ``out[i]`` equals ``self.eval(xs[i]).value`` bit for bit.
+        """
         raise NotImplementedError
 
     def dom(self):
@@ -134,6 +154,10 @@ class ImproperSplit(UpFunction):
         if self.lo <= x <= self.hi:
             return UpReal.bottom()
         return UpReal.top()
+
+    def eval_many(self, xs):
+        x = _require_finite_array(xs, "x")
+        return np.where((self.lo <= x) & (x <= self.hi), -INF, INF)
 
     def dom(self):
         return None if self.lo > self.hi else (self.lo, self.hi)
@@ -205,8 +229,12 @@ class PLProper(UpFunction):
     closed by construction.
 
     ``xs`` and ``vs`` are never mutated after construction: every
-    operation builds new lists, so anything derived from them (slopes,
-    convexity) stays valid for the instance's lifetime.
+    operation builds new lists, so anything derived from them stays
+    valid for the instance's lifetime.  :meth:`is_convex` relies on
+    that: its slope pass (:meth:`slope_rise`) runs on the first call and
+    leaves one small int on the instance, never the slope list, so
+    repeated queries on one function (``dirderiv``, ``is_subgradient``,
+    ``infconv``) pay the O(k) pass once.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
@@ -248,6 +276,7 @@ class PLProper(UpFunction):
         self.slope_right = slope_right
         self.dom_lo = dom_lo
         self.dom_hi = dom_hi
+        self._rise = None  # slope_rise(), once asked
 
     # -- construction ---------------------------------------------------------
 
@@ -327,6 +356,28 @@ class PLProper(UpFunction):
             return UpReal.top()
         return UpReal(_pl_value(self.xs, self.vs, self.slope_left, self.slope_right, x))
 
+    def eval_many(self, xs):
+        """:func:`_pl_value` over an array: the same case split and IEEE operations, Top off the domain."""
+        x = _require_finite_array(xs, "x")
+        bx, bv = np.asarray(self.xs), np.asarray(self.vs)
+        last = len(bx) - 1
+        i = np.searchsorted(bx, x, side="right") - 1
+        at = (i >= 0) & (x == bx[np.maximum(i, 0)])
+        inner = (i >= 0) & (i < last) & ~at
+        out = np.full(x.shape, INF)
+        out[at] = bv[i[at]]
+        j = i[inner]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (x[inner] - bx[j]) / (bx[j + 1] - bx[j])
+            out[inner] = bv[j] + t * (bv[j + 1] - bv[j])
+            if self.slope_left is not None:
+                m = i < 0
+                out[m] = bv[0] + self.slope_left * (x[m] - bx[0])
+            if self.slope_right is not None:
+                m = (i == last) & ~at
+                out[m] = bv[-1] + self.slope_right * (x[m] - bx[-1])
+        return out
+
     def dom(self):
         return (self.dom_lo, self.dom_hi)
 
@@ -357,9 +408,27 @@ class PLProper(UpFunction):
             self.slope_right if self.dom_hi == INF else INF,
         )
 
+    def slope_rise(self):
+        """How the slopes (:meth:`all_slopes`) run, left to right; computed once per instance.
+
+        2: each is above the one before, as computed.  :meth:`make`
+        prunes slope changes up to COLLINEAR_TOL, so every convex
+        function it builds is such, except an affine one.  1: none falls
+        by more than COLLINEAR_TOL, but not all rise; apart from the
+        affine case, only data built directly with the constructor does
+        this.  0: some slope falls by more.
+        """
+        if self._rise is None:
+            s = self.all_slopes()
+            if _strictly_increasing(s):
+                self._rise = 2
+            else:
+                self._rise = int(all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:])))
+        return self._rise
+
     def is_convex(self):
-        s = self.all_slopes()
-        return all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:]))
+        """Whether no slope falls by more than COLLINEAR_TOL (see :meth:`slope_rise`)."""
+        return self.slope_rise() > 0
 
     def _piece_slope(self, i):
         if i < 0:

@@ -21,6 +21,7 @@ from infsup.extreal import (
     as_down,
     as_up,
     idif,
+    idif_arr,
     isum,
     negate_down,
     negate_up,
@@ -46,6 +47,7 @@ from infsup.functions import (
 from infsup.calculus import (
     ConjugateCurve,
     _pl_legendre,
+    _sup_linear_minus,
     EqualityReport,
     MinorantReport,
     SubdiffDescription,
@@ -165,6 +167,51 @@ def mixed_corpus(seed, n):
         else:
             fns.append(random_improper_split(rng))
     return fns
+
+
+# ---------------------------------------------------------------------------
+# Bulk evaluation.
+# ---------------------------------------------------------------------------
+
+
+def bits(v):
+    return float(v).hex()
+
+
+def eval_many_probes(g):
+    """point_grid plus -0.0 and the neighbours of every breakpoint and domain end."""
+    pts = point_grid(g) + [-0.0]
+    edges = list(g.xs) if isinstance(g, PLProper) else []
+    edges += [e for e in (g.dom() or ()) if math.isfinite(e)]
+    for e in edges:
+        pts += [e, math.nextafter(e, -INF), math.nextafter(e, INF)]
+    return pts
+
+
+def test_eval_many_is_eval_bit_for_bit():
+    rng = np.random.default_rng(1201)
+    fns = mixed_corpus(606, 40) + [
+        float_convex_pl(rng, k, scale, lb, rb)
+        for scale in (1e-3, 1.0, 1e6)
+        for k in (1, 2, 9)
+        for lb in (False, True)
+        for rb in (False, True)
+    ]
+    fns.append(PLProper([-0.0, 0.5], [-0.0, 1e300], slope_left=-3.0, slope_right=1e300))
+    for g in fns:
+        pts = eval_many_probes(g)
+        out = g.eval_many(pts)
+        assert out.dtype == np.float64 and out.shape == (len(pts),)
+        assert [bits(v) for v in out] == [bits(g.eval(x).value) for x in pts], g
+        grid = np.array(pts[:6]).reshape(2, 3)
+        assert np.array_equal(g.eval_many(grid), out[:6].reshape(2, 3))
+
+
+def test_eval_many_names_the_first_bad_point():
+    for g in (abs_fn(), pl([(0.0, 1.0), (1.0, 0.0)], dom_lo=0.0, dom_hi=1.0), improper_split(0.0, 1.0), ConstTop()):
+        for bad, at in (([0.0, 1.0, math.nan, INF], 2), ([INF, 0.0], 0), ([0.5, -INF, math.nan], 1)):
+            with pytest.raises(ValueError, match=rf"x\[{at}\] must be finite"):
+                g.eval_many(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +416,117 @@ class TestSubdiff:
 
 
 # ---------------------------------------------------------------------------
+# The sup behind the subgradient test.
+# ---------------------------------------------------------------------------
+
+
+def linear_sup(g, a):
+    """The reference for _sup_linear_minus: Top outside the slope window,
+    else the max of a*x - v over every breakpoint."""
+    if isinstance(g, ImproperSplit):
+        return -INF if g.dom() is None else INF
+    lo, hi = g.slope_window()
+    if a < lo or a > hi:
+        return INF
+    return max(a * x - v for x, v in zip(g.xs, g.vs))
+
+
+def sup_probes(g):
+    """Each chord slope and its float neighbours, midpoints, steps of
+    +-1, both ends of the slope window with their neighbours, and 0."""
+    s = g.segment_slopes()
+    out = {0.0, *s}
+    out |= {math.nextafter(t, d) for t in s for d in (-INF, INF)}
+    out |= {(u + v) / 2 for u, v in zip(s, s[1:])}
+    out |= {t + d for t in s for d in (-1.0, 1.0)}
+    for e in g.slope_window():
+        out |= {e, math.nextafter(e, -INF), math.nextafter(e, INF)}
+    return sorted(a for a in out if math.isfinite(a))
+
+
+def assert_sup_is_linear(g):
+    for a in sup_probes(g):
+        assert bits(_sup_linear_minus(g, a)) == bits(linear_sup(g, a)), (g, a)
+
+
+class TestBisectedSup:
+    def test_laws_draws(self):
+        rng = np.random.default_rng(1301)
+        rises = set()
+        for _ in range(300):
+            for g in (random_closed_convex_fn(rng), random_convex_pl(rng, max_breaks=12), random_pl(rng)):
+                if isinstance(g, PLProper):
+                    assert_sup_is_linear(g)
+                    rises.add(g.slope_rise())
+                else:
+                    assert _sup_linear_minus(g, 0.5) == linear_sup(g, 0.5)
+        assert rises == {0, 2}
+
+    def test_float_data_across_scales(self):
+        rng = np.random.default_rng(1302)
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            for lb in (False, True):
+                for rb in (False, True):
+                    for k in (1, 2, 3, 8, 40, 120):
+                        assert_sup_is_linear(float_convex_pl(rng, k, scale, lb, rb))
+
+    def test_one_and_two_breakpoints(self):
+        for g in (
+            pl([(0.3, 0.7)], -1.0, 2.0),
+            pl([(0.3, 0.7)], None, 2.0, dom_lo=0.3),
+            pl([(0.3, 0.7)], -1.0, None, dom_hi=0.3),
+            pl([(0.3, 0.7)], None, None, dom_lo=0.3, dom_hi=0.3),
+            pl([(-0.1, 0.2), (0.7, -0.3)], -2.5, 1.5),
+            pl([(-0.1, 0.2), (0.7, -0.3)], None, None, dom_lo=-0.1, dom_hi=0.7),
+            pl([(-0.1, 0.2), (0.7, -0.3)], None, 0.1, dom_lo=-0.1),
+        ):
+            assert len(g.xs) <= 2 and g.slope_rise() == 2
+            assert_sup_is_linear(g)
+
+    def test_window_ends(self):
+        g = pl([(-1.0, 1.0), (0.0, 0.0), (2.0, 1.0)], -3.0, 4.0)
+        assert _sup_linear_minus(g, -3.0) == linear_sup(g, -3.0) == 2.0
+        assert _sup_linear_minus(g, 4.0) == linear_sup(g, 4.0) == 7.0
+        assert _sup_linear_minus(g, math.nextafter(-3.0, -INF)) == INF
+        assert _sup_linear_minus(g, math.nextafter(4.0, INF)) == INF
+
+    def test_non_convex_takes_the_full_max(self):
+        # two wells, the deeper far right: a bisection for the first chord
+        # with slope >= 0 stops in the left well
+        xs = [float(i) for i in range(12)]
+        vs = [0.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0, -5.0]
+        g = PLProper(xs, vs, slope_left=-1.0, slope_right=1.0)
+        assert g.slope_rise() == 0
+        assert _sup_linear_minus(g, 0.0) == 5.0
+        rng = np.random.default_rng(1303)
+        for _ in range(100):
+            assert_sup_is_linear(random_nonconvex_pl(rng, max_breaks=9))
+
+    def test_convex_only_within_tolerance_takes_the_full_max(self):
+        # chord slopes that fall by less than COLLINEAR_TOL at every step
+        # pass is_convex, yet the function bends down: the sup may sit at
+        # either end, so only the full max is right
+        xs = [float(i * i) for i in range(400)]
+        g = PLProper(xs, [-(2.0**-60) * x * x for x in xs], slope_left=-1.0, slope_right=1.0)
+        assert g.is_convex() and g.slope_rise() == 1
+        assert_sup_is_linear(g)
+
+
+# ---------------------------------------------------------------------------
 # Conjugates.
 # ---------------------------------------------------------------------------
 
 
+def affine_eval_many(ad, xs):
+    """``affine_eval`` at every point of an array, in the bulk encoding."""
+    t = ad.xi.a * xs - ad.r
+    if ad.xi.is_hat:
+        return np.where(t <= 0, -INF, INF)
+    return t
+
+
 def conj_grid_terms(g, xi, r, radius, far=1e4):
+    """The terms xi_r(x) up-minus g(x) over a grid, as a float64 array (Top = +inf)."""
     ad = AffineDual(xi, r)
     pts = set(np.arange(-radius, radius + 0.25, 0.25).tolist())
     pts |= set(point_grid(g))
@@ -381,30 +534,29 @@ def conj_grid_terms(g, xi, r, radius, far=1e4):
     if xi.is_hat and xi.a != 0:
         th = r / xi.a
         pts |= {th - 0.25, th, th + 0.25}
-    return [idif(affine_eval(ad, x), g.eval(x)) for x in sorted(pts)]
+    xs = np.array(sorted(pts))
+    return idif_arr(affine_eval_many(ad, xs), g.eval_many(xs))
 
 
 def assert_sup_matches(value_up, terms, wide_terms, tol=1e-9):
-    """value_up is a claimed sup of the terms: every term stays below
-    it; a finite sup is attained on the grid; Top shows either a Top
-    term or strict growth on the widened grid; Bottom forces every
-    term to Bottom."""
-    for t in terms:
-        if t.is_finite and value_up.is_finite:
-            assert t.value <= value_up.value + tol
-        else:
-            assert t <= value_up or (t.is_finite and value_up.is_top)
+    """value_up is a claimed sup of the terms (arrays, Top = +inf): every
+    term stays below it; a finite sup is attained on the grid; Top shows
+    either a Top term or strict growth on the widened grid; Bottom forces
+    every term to Bottom."""
+    v = value_up.value
+    finite = np.isfinite(terms)
     if value_up.is_finite:
-        best = max(t.value for t in terms if t.is_finite)
-        assert abs(best - value_up.value) <= tol
-        assert not any(t.is_top for t in terms)
+        assert np.all(terms[finite] <= v + tol)
+        assert np.all(terms[~finite] == -INF)
+        best = terms[finite].max()
+        assert abs(best - v) <= tol
     elif value_up.is_top:
-        if not any(t.is_top for t in terms):
-            narrow = max(t.value for t in terms if t.is_finite)
-            wide = max(t.value for t in wide_terms if t.is_finite)
+        if not np.any(terms == INF):
+            narrow = terms[finite].max()
+            wide = wide_terms[np.isfinite(wide_terms)].max()
             assert wide > narrow + 10.0
     else:
-        assert all(t.is_bottom for t in terms)
+        assert np.all(terms == -INF)
 
 
 class TestConjugate:

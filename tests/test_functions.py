@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import infsup.extreal as xr
 import infsup.functions as functions
 from infsup.extreal import UpReal, down, up
-from infsup.calculus import biconjugate
+from infsup.calculus import biconjugate, dirderiv, infconv, is_subgradient, subdiff_conjugate_check
 from infsup.functions import (
     COLLINEAR_TOL,
     AffineDual,
@@ -430,6 +430,103 @@ def test_nonconvex_generator_always_detected():
         f = random_nonconvex_pl(rng)
         assert not is_convex(f)
         assert not definitional_convex(f, rng)
+
+
+def _uncached_rise(f):
+    """The slope order, recomputed: 2 strictly rising, 1 falling only within COLLINEAR_TOL, 0 else."""
+    s = f.all_slopes()
+    if all(b > a for a, b in zip(s, s[1:])):
+        return 2
+    return int(all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:])))
+
+
+def _non_canonical_inputs():
+    xs = [float(i * i) for i in range(60)]
+    return [
+        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], slope_left=1.0, slope_right=1.0),
+        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-13], slope_left=1.0, slope_right=1.0),
+        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-9], slope_left=1.0, slope_right=1.0),
+        PLProper([0.0, 1.0], [0.0, 0.0], slope_left=0.0, slope_right=0.0),
+        PLProper([0.0, 1.0, 3.0], [5.0, 4.0, 6.0], dom_lo=0.0, dom_hi=3.0),
+        PLProper(xs, [-(2.0**-60) * x * x for x in xs], slope_left=-1.0, slope_right=1.0),
+        PLProper(xs, [-(2.0**-30) * x * x for x in xs], slope_left=-1.0, slope_right=1.0),
+    ]
+
+
+def test_cached_convexity_is_the_slope_rule():
+    rng = np.random.default_rng(2031)
+    fns = [random_closed_convex_fn(rng) for _ in range(80)] + [random_pl(rng) for _ in range(80)]
+    fns += [random_nonconvex_pl(rng) for _ in range(40)] + _non_canonical_inputs()
+    seen = set()
+    for f in fns:
+        if not isinstance(f, PLProper):
+            assert f.is_convex()
+            continue
+        want = _uncached_rise(f)
+        seen.add(want)
+        for _ in range(2):
+            assert f.slope_rise() == want, repr(f)
+            assert f.is_convex() == (want > 0), repr(f)
+    assert seen == {0, 1, 2}
+
+
+def _count_slope_passes(monkeypatch):
+    calls = []
+    inner = PLProper.all_slopes
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(PLProper, "all_slopes", counted)
+    return calls
+
+
+def test_convexity_is_computed_once_per_instance(monkeypatch):
+    calls = _count_slope_passes(monkeypatch)
+    rng = np.random.default_rng(2032)
+    for f in [random_convex_pl(rng), random_nonconvex_pl(rng), *_non_canonical_inputs()]:
+        calls.clear()
+        first = f.is_convex()
+        assert len(calls) == 1
+        for _ in range(3):
+            assert f.is_convex() == first
+            f.slope_rise()
+        assert len(calls) == 1
+    # the queries ask the instance, so repeated ones share the pass too
+    g = pl([(0.0, 0.0), (1.0, 0.5), (3.0, 4.0)], -1.0, 3.0)
+    calls.clear()
+    for x0 in (0.0, 0.5, 2.0):
+        dirderiv(g, x0, 1.0)
+        is_subgradient(g, x0, DualElem.proper(1.0))
+        infconv(g, g)
+    assert calls == [g]
+
+
+def test_cached_false_still_raises():
+    rng = np.random.default_rng(2033)
+    g = random_nonconvex_pl(rng)
+    for call in (
+        lambda: dirderiv(g, 0.0, 1.0),
+        lambda: is_subgradient(g, 0.0, DualElem.proper(0.0)),
+        lambda: infconv(g, abs_fn()),
+        lambda: infconv(abs_fn(), g),
+        lambda: subdiff_conjugate_check(g, 0.0),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="convex"):
+                call()
+    assert g.slope_rise() == 0
+
+
+def test_is_concave_reads_the_mirror_cache(monkeypatch):
+    calls = _count_slope_passes(monkeypatch)
+    rng = np.random.default_rng(2034)
+    for f in (random_convex_pl(rng), random_nonconvex_pl(rng)):
+        h = negate_fn(f)
+        calls.clear()
+        assert h.is_concave() == f.is_convex() == h.is_concave()
+        assert calls == [f]
 
 
 # ---------------------------------------------------------------------------
