@@ -555,9 +555,11 @@ def is_convex(f):
 def fn_allclose(f, g, tol=1e-9):
     """Structural closeness of two up-space functions.
 
-    Compares variant, breakpoints, slopes and domain markers within
-    ``tol``.  That is a faithful function comparison when both arguments
-    are canonical (built by ``PLProper.make``); see :class:`PLProper`.
+    Compares variant, breakpoints, slopes and domain markers, each pair
+    within ``tol`` relative to its size: ``|a - b| <= tol * max(1, |a|, |b|)``,
+    so ``tol`` is absolute below 1 and relative above, and ``tol=0`` is exact.
+    That is a faithful function comparison when both arguments are
+    canonical (built by ``PLProper.make``); see :class:`PLProper`.
     """
 
     def close(a, b):
@@ -565,7 +567,7 @@ def fn_allclose(f, g, tol=1e-9):
             return a is None and b is None
         if math.isinf(a) or math.isinf(b):
             return a == b
-        return abs(a - b) <= tol
+        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
     if isinstance(f, ImproperSplit):
         return isinstance(g, ImproperSplit) and close(f.lo, g.lo) and close(f.hi, g.hi)

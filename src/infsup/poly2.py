@@ -16,6 +16,9 @@ or line), and rows that all touch at one point make it a point; both get
 a canonical row list of their own.  No linear programming and no vertex
 search is needed in the plane.  Tolerance is 1e-9 throughout on roughly
 unit-scale data.
+
+The algebra goes through support functions: ``minkowski`` adds them,
+h_{A+B} = h_A + h_B, and ``validate`` rebuilds the set from ``hs``.
 """
 
 from __future__ import annotations
@@ -205,12 +208,8 @@ class ConvexPoly2:
         for r in rays:
             cands += [_rot90(r), _rot270(r), _neg(r)]
         cands += [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        out = []
-        for n in cands:
-            if any(_dot(n, r) > TOL for r in rays):
-                continue
-            out.append((n, max(_dot(n, v) for v in hull)))
-        return cls.from_halfplanes(out)
+        free = [n for n in cands if all(_dot(n, r) <= TOL for r in rays)]
+        return cls.from_halfplanes([(n, max(_dot(n, v) for v in hull)) for n in free])
 
     # -- basic queries -------------------------------------------------------
 
@@ -238,8 +237,6 @@ class ConvexPoly2:
     def is_subset(self, other, tol=1e-7):
         if self.empty:
             return True
-        if other.empty:
-            return False
         return all(other.contains(v, tol) for v in self.verts) and all(
             other.recession_contains(r, tol) for r in self.rays
         )
@@ -248,27 +245,23 @@ class ConvexPoly2:
         return self.is_subset(other, tol) and other.is_subset(self, tol)
 
     def validate(self, tol=1e-7):
-        """Cross-check the two representations against each other."""
+        """Rebuild the set from ``hs`` alone; the rebuilt generators must be
+        ``verts`` and ``rays`` as point sets within ``tol``."""
         if self.empty:
-            return self.hs == () and self.verts == () and self.rays == ()
-        for v in self.verts:
-            if not self.contains(v, tol):
-                return False
-        for r in self.rays:
-            if not self.recession_contains(r, tol):
-                return False
-        rebuilt = ConvexPoly2.from_generators(list(self.verts), list(self.rays))
-        return self.same_set(rebuilt, tol)
+            return self.hs == self.verts == self.rays == ()
+        H = ConvexPoly2.from_halfplanes(self.hs)
+        return _same_points(self.verts, H.verts, tol) and _same_points(self.rays, H.rays, tol)
 
     # -- algebra -------------------------------------------------------------
 
     def minkowski(self, other):
+        """A + B from h_{A+B} = h_A + h_B on the normals of both row lists,
+        which hold every edge normal of A + B (flats list both sides).  A
+        row whose summed support is +inf bounds nothing and is dropped."""
         if self.empty or other.empty:
             return ConvexPoly2.empty_set()
-        verts = [
-            (a[0] + b[0], a[1] + b[1]) for a in self.verts for b in other.verts
-        ]
-        return ConvexPoly2.from_generators(verts, list(self.rays) + list(other.rays))
+        rows = [(n, self.support(n) + other.support(n)) for n, _ in self.hs + other.hs]
+        return ConvexPoly2.from_halfplanes([(n, h) for n, h in rows if h < INF])
 
 
 def intersect_all(polys):
@@ -284,13 +277,9 @@ def intersect_all(polys):
 def hull_union(polys):
     """Closed convex hull of a finite union (empty for none)."""
     verts, rays = [], []
-    for p in polys:
-        if p.empty:
-            continue
+    for p in polys:  # an empty operand has no generators
         verts.extend(p.verts)
         rays.extend(p.rays)
-    if not verts:
-        return ConvexPoly2.empty_set()
     return ConvexPoly2.from_generators(verts, rays)
 
 
@@ -325,6 +314,17 @@ def _clean_rows(halfplanes):
         _, c = out.pop()
         out[0] = (out[0][0], min(c, out[0][1]))
     return out
+
+
+def _same_points(ps, qs, tol):
+    """Equal counts, and each point of either list within tol of one in the
+    other; the search for point i starts at index i, the usual match."""
+    k = len(ps)
+
+    def near(p, b, i):  # p is within tol of a point of b, searched from b[i] on
+        return any(_norm((p[0] - b[j % k][0], p[1] - b[j % k][1])) <= tol * (1 + _norm(p)) for j in range(i, i + k))
+
+    return len(qs) == k and all(near(ps[i], qs, i) and near(qs[i], ps, i) for i in range(k))
 
 
 def _same_direction(n, m):

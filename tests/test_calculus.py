@@ -927,6 +927,17 @@ class TestBiconjugate:
                                 assert abs(a.value - b.value) <= tol, (h, x, a, b)
         assert n_nonconvex >= 30
 
+    def test_allclose_to_hull_at_every_scale(self):
+        # fn_allclose's tolerance is relative to each compared number, so
+        # one rounding step in values of size 1e7 is no disagreement
+        rng = np.random.default_rng(1011)
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            for _ in range(200):
+                f = float_convex_pl(rng, 12, scale, False, False)
+                vs = [v + float(rng.choice([0.0, 3.0, -3.0])) * scale for v in f.vs]
+                g = pl(list(zip(f.xs, vs)), f.slope_left, f.slope_right)
+                assert fn_allclose(biconjugate(g), closure_hull(g), 1e-9), g
+
     def test_collinear_hull_vertices(self):
         # the hull runs through three breakpoints on one line (slope 1/2):
         # the middle one is no vertex, so the conjugate breaks once there

@@ -132,6 +132,15 @@ def test_make_removes_collinear_breakpoints():
     assert fn_allclose(f, abs_fn(), tol=0.0)
 
 
+def test_allclose_tolerance_is_relative_above_one():
+    f = pl([(1e6, 2e7)], slope_left=1.0, slope_right=3.0)
+    assert fn_allclose(f, pl([(1e6 + 1e-4, 2e7 - 1e-3)], slope_left=1.0, slope_right=3.0), tol=1e-9)
+    assert not fn_allclose(f, pl([(1e6 + 1e-2, 2e7)], slope_left=1.0, slope_right=3.0), tol=1e-9)
+    g = pl([(0.0, 0.0)], slope_left=-1.0, slope_right=1.0)
+    assert not fn_allclose(g, pl([(0.0, 2e-9)], slope_left=-1.0, slope_right=1.0), tol=1e-9)
+    assert not fn_allclose(f, pl([(1e6, math.nextafter(2e7, 0.0))], slope_left=1.0, slope_right=3.0), tol=0.0)
+
+
 def test_make_point_domain():
     f = pl([(0.0, 5.0), (1.0, 6.0)], dom_lo=0.5, dom_hi=0.5)
     assert f.xs == [0.5] and f.vs == [5.5]

@@ -2,9 +2,10 @@
 
 Every check compares against a route that shares no code with the
 construction: the raw halfplane system for membership, a brute-force
-enumeration of pairwise boundary crossings for vertices, and support
-functions computed from closed-form polygon vertices.  The fuzz is
-sampled (seeded systems), not exhaustive.
+enumeration of pairwise boundary crossings for vertices, support
+functions computed from closed-form polygon vertices, and the hull of
+all pairwise vertex sums for Minkowski sums.  The fuzz is sampled
+(seeded systems), not exhaustive.
 """
 
 import math
@@ -99,6 +100,17 @@ def test_degenerate_table(name, hps, empty, nv, nr):
             p = (float(x), float(y))
             inside = not empty and (not rows or _raw_margin(rows, p) <= 1e-12)
             assert P.contains(p) == inside, p
+
+
+@pytest.mark.parametrize(
+    "rows,verts",
+    [(slice(0, 2), slice(None)), (slice(None), slice(0, 2))],
+    ids=["row dropped, contains (-5, -5)", "vertex dropped"],
+)
+def test_validate_rejects_rows_and_generators_that_disagree(rows, verts):
+    T = build(CASES["triangle"])
+    assert T.validate()
+    assert not ConvexPoly2(False, T.hs[rows], T.verts[verts], T.rays).validate()
 
 
 def test_duplicate_directions_keep_the_tightest_row():
@@ -218,27 +230,56 @@ def _operands(rng):
     return [(hp, vp), (hq, vq), (wedge, None), (halfline, None)]
 
 
+DIRS = [_u(t) for t in np.linspace(0, 2 * np.pi, 64, endpoint=False) + 0.01]
+DEGENERATE_POLYS = [build(hps) for _, hps, *_ in DEGENERATE]
+FLAT_POLYS = [build(CASES[name]) for name in ("plane", "halfplane", "strip", "line", "halfline", "segment", "point")]
+
+
+def _minkowski_by_vertex_sums(A, B):
+    """The pairwise route: the hull of every vertex sum plus both ray lists
+    (no vertex sum when an operand is empty, so the empty set)."""
+    sums = [(a[0] + b[0], a[1] + b[1]) for a in A.verts for b in B.verts]
+    return ConvexPoly2.from_generators(sums, A.rays + B.rays)
+
+
+def _close(got, want):
+    return got == want if math.isinf(want) else abs(got - want) <= 1e-7 * (1 + abs(want))
+
+
+def test_minkowski_matches_vertex_sums():
+    rng = np.random.default_rng(4004)
+    pairs = [(A, B) for A in DEGENERATE_POLYS for B in DEGENERATE_POLYS]
+    for _ in range(40):
+        polys = [build(hps) for hps, _ in _operands(rng)]
+        pairs += [(A, B) for A in polys for B in polys + FLAT_POLYS]
+    for A, B in pairs:
+        S, want = A.minkowski(B), _minkowski_by_vertex_sums(A, B)
+        assert S.validate() and S.empty is want.empty and S.same_set(want), (A, B)
+        assert (len(S.verts), len(S.rays)) == (len(want.verts), len(want.rays)), (A, B)
+
+
 def test_support_identities():
     rng = np.random.default_rng(1011)
-    dirs = [_u(t) for t in np.linspace(0, 2 * np.pi, 64, endpoint=False) + 0.01]
+    for A in DEGENERATE_POLYS:
+        for B in DEGENERATE_POLYS:
+            if not (A.empty or B.empty):
+                S = A.minkowski(B)
+                assert all(_close(S.support(d), A.support(d) + B.support(d)) for d in DIRS), (A, B)
     for _ in range(40):
         ops = _operands(rng)
         polys = [build(hps) for hps, _ in ops]
         for (hps, verts), P in zip(ops, polys):
             if verts is not None:
-                for d in dirs:
+                for d in DIRS:
                     want = float(np.max(verts @ np.asarray(d)))
                     assert P.support(d) == pytest.approx(want, abs=1e-9)
         for A in polys:
             for B in polys:
                 S, H = A.minkowski(B), hull_union([A, B])
                 assert S.validate() and H.validate()
-                for d in dirs:
-                    hs, hh = S.support(d), H.support(d)
-                    want_s = A.support(d) + B.support(d)
-                    want_h = max(A.support(d), B.support(d))
-                    assert hs == pytest.approx(want_s, abs=1e-7 * (1 + abs(want_s)))
-                    assert hh == pytest.approx(want_h, abs=1e-7 * (1 + abs(want_h)))
+                for d in DIRS:
+                    assert _close(S.support(d), A.support(d) + B.support(d))
+                    assert _close(H.support(d), max(A.support(d), B.support(d)))
         I = intersect_all(polys[:2] + polys[2:3])
         assert I.validate()
         for p in rng.uniform(-2.5, 2.5, size=(64, 2)):
