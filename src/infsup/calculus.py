@@ -26,7 +26,7 @@ convolution is therefore an independent check on it.
 
 Point queries on a convex ``PLProper`` (``dirderiv``,
 ``subdiff_extended``, ``is_subgradient``) cost O(log k): the function
-keeps its convexity (``PLProper.slope_rise``) after the first ask, and
+keeps its convexity (``PLProper.is_convex``) after the first ask, and
 the sup behind the subgradient test bisects on chord slopes.  Grid
 oracles that check this module evaluate many points at once with
 ``UpFunction.eval_many``, which returns the float64 encoding (Top =
@@ -168,11 +168,10 @@ def subdiff_extended(g, x0):
     v0 = g.eval(x0)
     if v0.is_top:
         return SubdiffDescription(proper=None, improper=frozenset({0.0}))
-    lo, hi = g.dom()
-    imp = {0.0}
-    if hi <= x0:
+    d, imp = g.dom(), {0.0}
+    if _support(1.0, d) <= x0:
         imp.add(1.0)
-    if lo >= x0:
+    if _support(-1.0, d) <= -x0:
         imp.add(-1.0)
     if v0.is_bottom:
         return SubdiffDescription(proper=None, improper=frozenset(imp))
@@ -192,12 +191,10 @@ def is_subgradient(g, x0, xi):
     works iff its favorable halfline covers the domain, except at a Top
     point where only the constant Bottom hat survives.
 
-    The sup is :func:`_sup_linear_minus`: on a g whose slopes strictly
-    increase (every convex canonical g) it bisects for the first chord
-    with slope >= a and takes the max over the breakpoints within 2 of
-    it; a g convex only within COLLINEAR_TOL gets the full max, and a
-    non-convex g is rejected here.  With the slope order cached on g, a
-    call costs O(log k).
+    The hat test is the hat rule :func:`_support` on the canonical slope
+    sign(a) with offset sign(a)*x0.  The sup is :func:`_sup_linear_minus`,
+    which bisects on the chord slopes of a convex g (a non-convex g is
+    rejected here); with convexity cached on g, a call costs O(log k).
     """
     x0 = _require_finite(x0, "x0")
     if not isinstance(xi, DualElem):
@@ -208,12 +205,8 @@ def is_subgradient(g, x0, xi):
     if xi.is_hat:
         if v0.is_top:
             return xi.a == 0
-        lo, hi = g.dom()
-        if xi.a > 0:
-            return hi <= x0
-        if xi.a < 0:
-            return lo >= x0
-        return True
+        c = float(_sign(xi.a))
+        return _support(c, g.dom()) <= c * x0
     if not v0.is_finite:
         return False
     return _sup_linear_minus(g, xi.a) <= xi.a * x0 - v0.value
@@ -233,16 +226,16 @@ def _sup_linear_minus(g, a):
     sup to +inf; the empty-domain function leaves it at -inf.
 
     Along the breakpoints a*x - v rises across a chord of slope s < a
-    and falls across one with s > a.  When g's slopes strictly increase
-    as computed (``slope_rise() == 2``, so every convex g that
-    ``PLProper.make`` builds), the sup sits at the first breakpoint m
-    whose chord on to m + 1 has (vs[m+1] - vs[m]) / (xs[m+1] - xs[m])
-    >= a (the last breakpoint if there is none), found by bisection on
-    chord slopes computed on the fly.  Near a tie the rounded terms of
-    neighbouring breakpoints can come out ahead, so the answer is the
-    max of a*x - v over the breakpoints within 2 of m, which rounds as
-    the full max does: O(log k) per call once the slope order is cached.
-    Any other g, non-convex or convex only within COLLINEAR_TOL, takes
+    and falls across one with s > a.  On a convex g the chord slopes
+    strictly increase as computed (``PLProper`` prunes every slope change
+    within COLLINEAR_TOL; an affine g has one breakpoint), so the sup
+    sits at the first breakpoint m whose chord on to m + 1 has
+    (vs[m+1] - vs[m]) / (xs[m+1] - xs[m]) >= a (the last breakpoint if
+    there is none), found by bisection on chord slopes computed on the
+    fly.  Near a tie the rounded terms of neighbouring breakpoints can
+    come out ahead, so the answer is the max of a*x - v over the
+    breakpoints within 2 of m, which rounds as the full max does:
+    O(log k) per call once convexity is cached.  A non-convex g takes
     the max over every breakpoint.
     """
     if isinstance(g, ImproperSplit):
@@ -253,7 +246,7 @@ def _sup_linear_minus(g, a):
     if a < lo or a > hi:
         return INF
     xs, vs = g.xs, g.vs
-    if g.slope_rise() < 2:
+    if not g.is_convex():
         return max(a * x - v for x, v in zip(xs, vs))
     m, top = 0, len(xs) - 1
     while m < top:
@@ -282,8 +275,8 @@ def _pl_legendre(f):
         return ConstTop()
     xs, vs, ws = _lower_hull(f.xs, f.vs)
     if not ws:
-        return PLProper._from_sorted([0.0], [-vs[0]], xs[0], xs[0], w_lo, w_hi)
-    return PLProper._from_sorted(ws, [x * w - v for x, v, w in zip(xs, vs, ws)], xs[0], xs[-1], w_lo, w_hi)
+        return PLProper([0.0], [-vs[0]], xs[0], xs[0], w_lo, w_hi)
+    return PLProper(ws, [x * w - v for x, v, w in zip(xs, vs, ws)], xs[0], xs[-1], w_lo, w_hi)
 
 
 def _support(a, interval):
@@ -510,7 +503,7 @@ def _epigraph_sum(f, g):
             j += 1
         xs.append(xf[i] + xg[j])
         vs.append(vf[i] + vg[j])
-    return PLProper._from_sorted(xs, vs, L if lo == -INF else None, R if hi == INF else None, lo, hi)
+    return PLProper(xs, vs, L if lo == -INF else None, R if hi == INF else None, lo, hi)
 
 
 def infconv(f, g):
@@ -548,8 +541,10 @@ class EqualityReport:
 
 
 def _down_close(p, q, tol):
+    """Equal when infinite; finite values within tol relative to their size, as in ``fn_allclose``."""
     if p.is_finite and q.is_finite:
-        return abs(p.value - q.value) <= tol
+        a, b = p.value, q.value
+        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
     return p == q
 
 
@@ -561,7 +556,8 @@ def infconv_conjugate_check(f, g, xi, r, tol=1e-9):
     offset 0 down-added with -r; for a hat, the split succeeds (value
     Top) exactly when some offset split r1 + r2 = r leaves both domain
     inclusions broken, which reduces to comparing r against the
-    down-sum of the two support thresholds.
+    down-sum of the two support thresholds.  ``equal`` allows finite
+    sides to differ by ``tol`` relative to their size (absolute below 1).
     """
     if not isinstance(xi, DualElem):
         raise TypeError("infconv_conjugate_check expects a DualElem")

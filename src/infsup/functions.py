@@ -204,26 +204,20 @@ def improper_split(lo, hi):
 class PLProper(UpFunction):
     """Piecewise-linear function, finite on its interval domain, Top outside.
 
-    Invariants enforced by the constructor:
+    The constructor is the one place that checks and canonicalizes, so
+    every instance is canonical:
 
     * ``xs`` strictly increasing, ``vs`` finite, at least one breakpoint;
-    * ``dom_lo`` is either -inf or exactly ``xs[0]`` (finite endpoints are
-      folded into the breakpoint list by :meth:`make`), same on the right;
+    * ``dom_lo`` is either -inf or exactly ``xs[0]``, same on the right:
+      finite domain bounds are folded into the breakpoint list;
     * ``slope_left`` is present iff ``dom_lo`` is -inf, ``slope_right``
-      iff ``dom_hi`` is +inf.
+      iff ``dom_hi`` is +inf;
+    * no two neighbouring slopes (:meth:`all_slopes`) within
+      COLLINEAR_TOL of each other, except the two end slopes of an
+      affine function, which has its one breakpoint at x = 0.
 
-    Canonical invariants established by :meth:`make`, not checked by the
-    constructor:
-
-    * no collinear interior breakpoints;
-    * an affine function (one breakpoint, equal end slopes) has its
-      breakpoint at x = 0, so it has one representation.
-
-    ``==`` and :func:`fn_allclose` compare representations, so they are
-    function equality only between canonical instances: built directly,
-    ``PLProper([0, 1, 2], [0, 1, 2], slope_left=1, slope_right=1)`` is the
-    identity but does not equal ``PLProper([0], [0], slope_left=1,
-    slope_right=1)``.
+    Equal functions therefore have equal representations, and ``==``
+    (:func:`fn_allclose` with ``tol=0``) is function equality.
 
     Values at finite domain endpoints are attained, so the epigraph is
     closed by construction.
@@ -231,13 +225,21 @@ class PLProper(UpFunction):
     ``xs`` and ``vs`` are never mutated after construction: every
     operation builds new lists, so anything derived from them stays
     valid for the instance's lifetime.  :meth:`is_convex` relies on
-    that: its slope pass (:meth:`slope_rise`) runs on the first call and
-    leaves one small int on the instance, never the slope list, so
-    repeated queries on one function (``dirderiv``, ``is_subgradient``,
-    ``infconv``) pay the O(k) pass once.
+    that: its slope pass runs on the first call and leaves one bool on
+    the instance, so repeated queries on one function (``dirderiv``,
+    ``is_subgradient``, ``infconv``) pay the O(k) pass once.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
+        """Breakpoints (x-sorted) with their values, end slopes and domain bounds.
+
+        Finite domain bounds may lie anywhere: the breakpoint list is
+        clipped, or extended by the end slopes, so the bounds become
+        breakpoints.  A slope given on a bounded side serves that
+        extension and is then dropped; an unbounded side needs one.
+        Collinear breakpoints are removed, and an affine function is
+        anchored at x = 0.
+        """
         xs = list(map(float, xs))
         vs = list(map(float, vs))
         if len(xs) == 0 or len(xs) != len(vs):
@@ -251,79 +253,34 @@ class PLProper(UpFunction):
                 _require_finite(v, f"breakpoint value v[{i}]")
         if not _strictly_increasing(xs):
             raise ValueError("breakpoints must be strictly increasing")
+        sl = None if slope_left is None else _require_finite(slope_left, "slope_left")
+        sr = None if slope_right is None else _require_finite(slope_right, "slope_right")
         dom_lo, dom_hi = float(dom_lo), float(dom_hi)
-        if dom_lo == -INF:
-            if slope_left is None:
-                raise ValueError("unbounded domain on the left needs slope_left")
-            slope_left = _require_finite(slope_left, "slope_left")
-        else:
-            if dom_lo != xs[0]:
-                raise ValueError("finite dom_lo must equal the first breakpoint; use make()")
-            if slope_left is not None:
-                raise ValueError("slope_left is meaningless with a bounded left domain")
-        if dom_hi == INF:
-            if slope_right is None:
-                raise ValueError("unbounded domain on the right needs slope_right")
-            slope_right = _require_finite(slope_right, "slope_right")
-        else:
-            if dom_hi != xs[-1]:
-                raise ValueError("finite dom_hi must equal the last breakpoint; use make()")
-            if slope_right is not None:
-                raise ValueError("slope_right is meaningless with a bounded right domain")
-        self.xs = xs
-        self.vs = vs
-        self.slope_left = slope_left
-        self.slope_right = slope_right
-        self.dom_lo = dom_lo
-        self.dom_hi = dom_hi
-        self._rise = None  # slope_rise(), once asked
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def make(cls, breaks, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
-        """Canonicalizing factory.
-
-        ``breaks`` is a sequence of (x, v) pairs.  Finite domain bounds
-        may lie anywhere; the breakpoint list is clipped/extended so the
-        bounds become breakpoints, collinear interior breakpoints are
-        removed, and an affine function is anchored at x = 0.
-        """
-        pts = sorted((float(x), float(v)) for x, v in breaks)
-        return cls._from_sorted([p[0] for p in pts], [p[1] for p in pts], slope_left, slope_right, dom_lo, dom_hi)
-
-    @classmethod
-    def _from_sorted(cls, xs, vs, slope_left, slope_right, dom_lo, dom_hi):
-        """:meth:`make` on float lists already sorted by x (read, never mutated): every check, no sort."""
-        if not xs:
-            raise ValueError("need at least one breakpoint")
-        if not _strictly_increasing(xs):
-            raise ValueError("breakpoints must be strictly increasing")
-        dom_lo, dom_hi = float(dom_lo), float(dom_hi)
-        if dom_lo > dom_hi:
+        if not dom_lo <= dom_hi or dom_lo == INF or dom_hi == -INF:
             raise ValueError(f"empty domain [{dom_lo}, {dom_hi}]")
+        if dom_lo == -INF and sl is None:
+            raise ValueError("unbounded domain on the left needs slope_left")
+        if dom_hi == INF and sr is None:
+            raise ValueError("unbounded domain on the right needs slope_right")
 
-        def value_at(x):
-            # the raw data's value, extrapolated by the end slopes
-            if x < xs[0] and slope_left is None:
+        if dom_lo > -INF:
+            if dom_lo < xs[0] and sl is None:
                 raise ValueError("dom_lo below the first breakpoint needs slope_left")
-            if x > xs[-1] and slope_right is None:
-                raise ValueError("dom_hi above the last breakpoint needs slope_right")
-            return _pl_value(xs, vs, slope_left, slope_right, x)
-
-        sl, sr = slope_left, slope_right
-        if math.isfinite(dom_lo):
-            v_at, i = value_at(dom_lo), bisect_right(xs, dom_lo)
+            v_at = _require_finite(_pl_value(xs, vs, sl, sr, dom_lo), "the value at dom_lo")
+            i = bisect_right(xs, dom_lo)
             xs, vs, sl = [dom_lo] + xs[i:], [v_at] + vs[i:], None
-        if math.isfinite(dom_hi):
-            v_at, i = value_at(dom_hi), bisect_left(xs, dom_hi)
+        if dom_hi < INF:
+            if dom_hi > xs[-1] and sr is None:
+                raise ValueError("dom_hi above the last breakpoint needs slope_right")
+            v_at = _require_finite(_pl_value(xs, vs, sl, sr, dom_hi), "the value at dom_hi")
+            i = bisect_left(xs, dom_hi)
             xs, vs, sr = xs[:i] + [dom_hi], vs[:i] + [v_at], None
 
         # drop collinear interior breakpoints in one pass: the stack holds a
         # prefix with none left, so a deletion only exposes the triple that
         # ends at the incoming point; ps[k] is the chord slope from px[k]
         px, pv, ps = xs[:1], vs[:1], []
-        for x, v in zip(xs[1:], vs[1:]):
+        for x, v in zip(islice(xs, 1, None), islice(vs, 1, None)):
             s1 = (v - pv[-1]) / (x - px[-1])
             while ps and abs(ps[-1] - s1) <= COLLINEAR_TOL:
                 ps.pop()
@@ -343,10 +300,27 @@ class PLProper(UpFunction):
                 del xs[-1], vs[-1]
             else:
                 break
-        # an affine function has no distinguished breakpoint: anchor it at 0
+        # an affine function has no distinguished breakpoint: anchor it at
+        # +0.0 (x = -0.0 counts as +0.0, so an anchored function anchors to
+        # itself bit for bit, -0.0 values included)
         if len(xs) == 1 and sl is not None and sr is not None and abs(sl - sr) <= COLLINEAR_TOL:
-            xs, vs = [0.0], [vs[0] - sl * xs[0]]
-        return cls(xs, vs, sl, sr, dom_lo, dom_hi)
+            xs, vs = [0.0], [vs[0] - sl * (xs[0] or 0.0)]
+
+        self.xs = xs
+        self.vs = vs
+        self.slope_left = sl
+        self.slope_right = sr
+        self.dom_lo = dom_lo
+        self.dom_hi = dom_hi
+        self._convex = None  # is_convex(), once asked
+
+    # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def make(cls, breaks, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
+        """The constructor on a sequence of (x, v) pairs in any order."""
+        pts = sorted((float(x), float(v)) for x, v in breaks)
+        return cls([p[0] for p in pts], [p[1] for p in pts], slope_left, slope_right, dom_lo, dom_hi)
 
     # -- evaluation and structure ---------------------------------------------
 
@@ -408,27 +382,20 @@ class PLProper(UpFunction):
             self.slope_right if self.dom_hi == INF else INF,
         )
 
-    def slope_rise(self):
-        """How the slopes (:meth:`all_slopes`) run, left to right; computed once per instance.
-
-        2: each is above the one before, as computed.  :meth:`make`
-        prunes slope changes up to COLLINEAR_TOL, so every convex
-        function it builds is such, except an affine one.  1: none falls
-        by more than COLLINEAR_TOL, but not all rise; apart from the
-        affine case, only data built directly with the constructor does
-        this.  0: some slope falls by more.
-        """
-        if self._rise is None:
-            s = self.all_slopes()
-            if _strictly_increasing(s):
-                self._rise = 2
-            else:
-                self._rise = int(all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:])))
-        return self._rise
-
     def is_convex(self):
-        """Whether no slope falls by more than COLLINEAR_TOL (see :meth:`slope_rise`)."""
-        return self.slope_rise() > 0
+        """Whether no slope (:meth:`all_slopes`) falls below the one before by more than COLLINEAR_TOL.
+
+        Computed once per instance.  The constructor prunes every slope
+        change within COLLINEAR_TOL, by the same test, so a convex
+        function's slopes strictly rise, except the two end slopes of an
+        affine one.
+        """
+        if self._convex is None:
+            s = self.all_slopes()
+            self._convex = _strictly_increasing(s) or all(
+                b > a or abs(a - b) <= COLLINEAR_TOL for a, b in zip(s, s[1:])
+            )
+        return self._convex
 
     def _piece_slope(self, i):
         if i < 0:
@@ -558,8 +525,8 @@ def fn_allclose(f, g, tol=1e-9):
     Compares variant, breakpoints, slopes and domain markers, each pair
     within ``tol`` relative to its size: ``|a - b| <= tol * max(1, |a|, |b|)``,
     so ``tol`` is absolute below 1 and relative above, and ``tol=0`` is exact.
-    That is a faithful function comparison when both arguments are
-    canonical (built by ``PLProper.make``); see :class:`PLProper`.
+    Every instance is canonical (see :class:`PLProper`), so ``tol=0`` is
+    function equality.
     """
 
     def close(a, b):
@@ -649,7 +616,7 @@ def closure_hull(f):
     if a_hi < INF:
         while j - i >= 2 and ss[j - 2] >= a_hi:
             j -= 1
-    return PLProper._from_sorted(xs[i:j], vs[i:j], f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+    return PLProper(xs[i:j], vs[i:j], f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
 
 
 # ---------------------------------------------------------------------------

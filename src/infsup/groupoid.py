@@ -41,6 +41,28 @@ def _to_index(index, label, where):
         raise ValueError(f"{where} = {label!r} is not a carrier element") from None
 
 
+def _carrier_and_table(carrier, add):
+    """The carrier as a tuple, its label -> index map, and ``add`` as an index table.
+
+    Raises ValueError for an empty carrier, repeated labels, a table that
+    is not n x n, or an entry outside the carrier (naming the entry).
+    """
+    carrier = tuple(carrier)
+    n = len(carrier)
+    if n == 0:
+        raise ValueError("carrier must be nonempty")
+    if len(set(carrier)) != n:
+        raise ValueError("carrier labels must be distinct")
+    index = {lab: i for i, lab in enumerate(carrier)}
+    if len(add) != n or any(len(row) != n for row in add):
+        raise ValueError("add table must be n x n")
+    table = [
+        [_to_index(index, lab, f"add[{i}][{j}]") for j, lab in enumerate(row)]
+        for i, row in enumerate(add)
+    ]
+    return carrier, index, table
+
+
 class FiniteOrderedGroupoid:
     """A finite carrier with a commutative addition table and a compatible partial order.
 
@@ -56,21 +78,8 @@ class FiniteOrderedGroupoid:
     """
 
     def __init__(self, carrier, add, leq):
-        self.carrier = tuple(carrier)
+        self.carrier, self._index, self.add = _carrier_and_table(carrier, add)
         n = len(self.carrier)
-        if n == 0:
-            raise ValueError("carrier must be nonempty")
-        if len(set(self.carrier)) != n:
-            raise ValueError("carrier labels must be distinct")
-        self._index = {lab: i for i, lab in enumerate(self.carrier)}
-
-        if len(add) != n or any(len(row) != n for row in add):
-            raise ValueError("add table must be n x n")
-        self.add = [
-            [_to_index(self._index, lab, f"add[{i}][{j}]") for j, lab in enumerate(row)]
-            for i, row in enumerate(add)
-        ]
-
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("leq matrix must be n x n")
         self.leq = [[bool(x) for x in row] for row in leq]
@@ -316,17 +325,8 @@ class ScaledMonoid:
     """
 
     def __init__(self, carrier, add, scale):
-        self.carrier = tuple(carrier)
+        self.carrier, self._index, self.add = _carrier_and_table(carrier, add)
         n = len(self.carrier)
-        self._index = {lab: i for i, lab in enumerate(self.carrier)}
-        if len(set(self.carrier)) != n or n == 0:
-            raise ValueError("carrier must be nonempty with distinct labels")
-        if len(add) != n or any(len(row) != n for row in add):
-            raise ValueError("add table must be n x n")
-        self.add = [
-            [_to_index(self._index, x, f"add[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(add)
-        ]
         self.scale = {}
         for t, images in scale.items():
             t = Fraction(t)

@@ -41,8 +41,8 @@ def random_pl(rng, convex=False, max_breaks=5, bounded_prob=0.4):
     """Random PLProper on dyadic data.
 
     Slopes are drawn without replacement, so adjacent segments never
-    coincide and the representation is canonical as built.  With
-    ``convex`` the slope list is sorted ascending.
+    coincide and no breakpoint is redundant.  With ``convex`` the slope
+    list is sorted ascending.
     """
     k = int(rng.integers(1, max_breaks + 1))
     xs = np.sort(rng.choice(X_GRID, size=k, replace=False))

@@ -67,25 +67,32 @@ def _angle(a):
     return t + 2.0 * math.pi if t < 0 else t
 
 
-def _half_hull(pts):
-    """One monotone chain over sorted points, without its last point."""
+def _half_hull(pts, tol):
+    """One monotone chain over sorted points, without its last point.
+
+    The chain's last point goes when it is not more than ``tol`` to the
+    right of the chord from the point before it to the incoming point.
+    """
     chain = []
     for p in pts:
-        while len(chain) >= 2 and _cross(
-            (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
-            (p[0] - chain[-1][0], p[1] - chain[-1][1]),
-        ) <= 1e-12:
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            # cross((b - a), (p - b)) is |p - a| times how far b lies right of the chord a -> p
+            if _cross((bx - ax, by - ay), (p[0] - bx, p[1] - by)) > tol * _norm((p[0] - ax, p[1] - ay)):
+                break
             chain.pop()
         chain.append(p)
     return chain[:-1]
 
 
 def _hull_ccw(points):
-    """Monotone-chain convex hull, counterclockwise, collinear interior
-    points removed.  Returns the degenerate chains as they are."""
+    """Monotone-chain convex hull, counterclockwise, with points within
+    TOL times the data's size (at least 1) of a hull edge removed.
+    Returns the degenerate chains as they are."""
     pts = sorted(set((round(p[0], 12), round(p[1], 12)) for p in points))
     if len(pts) > 2:
-        pts = _half_hull(pts) + _half_hull(reversed(pts))
+        tol = TOL * max(1.0, *(abs(c) for p in pts for c in p))
+        pts = _half_hull(pts, tol) + _half_hull(reversed(pts), tol)
     return [tuple(map(float, p)) for p in pts]
 
 

@@ -452,15 +452,15 @@ def assert_sup_is_linear(g):
 class TestBisectedSup:
     def test_laws_draws(self):
         rng = np.random.default_rng(1301)
-        rises = set()
+        convex = set()
         for _ in range(300):
             for g in (random_closed_convex_fn(rng), random_convex_pl(rng, max_breaks=12), random_pl(rng)):
                 if isinstance(g, PLProper):
                     assert_sup_is_linear(g)
-                    rises.add(g.slope_rise())
+                    convex.add(g.is_convex())
                 else:
                     assert _sup_linear_minus(g, 0.5) == linear_sup(g, 0.5)
-        assert rises == {0, 2}
+        assert convex == {False, True}
 
     def test_float_data_across_scales(self):
         rng = np.random.default_rng(1302)
@@ -480,7 +480,7 @@ class TestBisectedSup:
             pl([(-0.1, 0.2), (0.7, -0.3)], None, None, dom_lo=-0.1, dom_hi=0.7),
             pl([(-0.1, 0.2), (0.7, -0.3)], None, 0.1, dom_lo=-0.1),
         ):
-            assert len(g.xs) <= 2 and g.slope_rise() == 2
+            assert len(g.xs) <= 2 and g.is_convex()
             assert_sup_is_linear(g)
 
     def test_window_ends(self):
@@ -496,20 +496,28 @@ class TestBisectedSup:
         xs = [float(i) for i in range(12)]
         vs = [0.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0, -5.0]
         g = PLProper(xs, vs, slope_left=-1.0, slope_right=1.0)
-        assert g.slope_rise() == 0
+        assert not g.is_convex()
         assert _sup_linear_minus(g, 0.0) == 5.0
         rng = np.random.default_rng(1303)
         for _ in range(100):
             assert_sup_is_linear(random_nonconvex_pl(rng, max_breaks=9))
 
-    def test_convex_only_within_tolerance_takes_the_full_max(self):
-        # chord slopes that fall by less than COLLINEAR_TOL at every step
-        # pass is_convex, yet the function bends down: the sup may sit at
-        # either end, so only the full max is right
+    def test_tolerance_convex_data_is_pruned_before_the_bisect(self):
+        # chord slopes that fall by less than COLLINEAR_TOL at every step:
+        # the constructor treats them as collinear, so what it keeps has
+        # strictly rising slopes and the bisect is exact on it
         xs = [float(i * i) for i in range(400)]
         g = PLProper(xs, [-(2.0**-60) * x * x for x in xs], slope_left=-1.0, slope_right=1.0)
-        assert g.is_convex() and g.slope_rise() == 1
+        s = g.all_slopes()
+        assert g.is_convex() and len(g.xs) < len(xs) and all(a < b for a, b in zip(s, s[1:]))
         assert_sup_is_linear(g)
+        # the one convex shape whose slopes do not strictly rise: an affine
+        # function whose end slopes fall within COLLINEAR_TOL; its slope
+        # window is empty, so the sup is +inf at every slope
+        h = PLProper([0.3], [0.7], slope_left=1.0 + 2.0**-44, slope_right=1.0)
+        assert h.is_convex() and h.xs == [0.0] and h.slope_left > h.slope_right
+        for a in (1.0, 1.0 + 2.0**-45, 1.0 + 2.0**-44):
+            assert _sup_linear_minus(h, a) == linear_sup(h, a) == INF
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +891,25 @@ class TestInfconvConjugate:
                 for r in (-2.0, 0.0, 1.25):
                     rep = infconv_conjugate_check(f, g, xi, r)
                     assert rep.equal, (f, g, xi, r, rep)
+
+
+    def test_float_pairs_at_every_scale(self):
+        # both sides are sums of values of size up to about 100 * scale, so
+        # their rounding gap grows with the scale; equality must be relative
+        rng = np.random.default_rng(910)
+        sides = [(lb, rb) for lb in (False, True) for rb in (False, True)]
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            checked = 0
+            for _ in range(24):
+                f = float_convex_pl(rng, int(rng.integers(1, 9)), scale, *sides[rng.integers(4)])
+                g = float_convex_pl(rng, int(rng.integers(1, 9)), scale, *sides[rng.integers(4)])
+                for a in (*f.segment_slopes(), *g.segment_slopes(), float(rng.uniform(-5.0, 5.0))):
+                    r = float(rng.uniform(-10.0, 10.0)) * scale
+                    for xi in (DualElem.proper(a), DualElem.hat(a)):
+                        rep = infconv_conjugate_check(f, g, xi, r)
+                        assert rep.equal, (f, g, xi, r, rep)
+                        checked += rep.lhs.is_finite
+            assert checked >= 100
 
 
 # ---------------------------------------------------------------------------

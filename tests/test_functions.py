@@ -306,8 +306,8 @@ def test_one_sided_slopes_match_segment_slopes():
 def test_constructor_rejects_bad_data():
     with pytest.raises(ValueError):
         PLProper([0.0, 0.0], [1.0, 2.0], slope_left=0.0, slope_right=0.0)
-    with pytest.raises(ValueError):
-        PLProper([0.0], [1.0], slope_left=0.0, slope_right=0.0, dom_lo=-1.0)
+    with pytest.raises(ValueError, match="needs slope_left"):
+        PLProper([0.0], [1.0], slope_right=0.0, dom_lo=-1.0)  # the fold below dom_lo needs slope_left
     with pytest.raises(ValueError):
         PLProper([0.0], [1.0], slope_left=0.0, dom_hi=2.0)
     with pytest.raises(ValueError):
@@ -318,10 +318,25 @@ def test_constructor_rejects_bad_data():
         PLProper([0.0, 1.0, INF, 3.0], [0.0, 1.0, 2.0, 3.0], slope_left=0.0, slope_right=0.0)
     with pytest.raises(ValueError, match=r"breakpoint value v\[1\] must be finite, got nan"):
         PLProper([0.0, 1.0, 2.0], [0.0, math.nan, 2.0], slope_left=0.0, slope_right=0.0)
+    with pytest.raises(ValueError, match="slope_right must be finite"):
+        PLProper([0.0], [1.0], slope_left=0.0, slope_right=INF)
+    for lo, hi in ((2.0, 1.0), (math.nan, 1.0), (INF, INF), (-INF, -INF)):
+        with pytest.raises(ValueError, match="empty domain"):
+            PLProper([0.0], [1.0], slope_left=0.0, slope_right=0.0, dom_lo=lo, dom_hi=hi)
+    with pytest.raises(ValueError, match="value at dom_lo must be finite"):
+        PLProper([0.0], [1.0], slope_left=1e300, slope_right=0.0, dom_lo=-1e300)
     with pytest.raises(ValueError):
         pl([(0.0, 0.0)], slope_left=0.0, slope_right=0.0, dom_lo=2.0, dom_hi=1.0)
     with pytest.raises(ValueError):
         pl([(0.0, 0.0)], slope_right=1.0, dom_lo=-1.0)  # fold needs slope_left
+
+
+def test_constructor_folds_a_bound_below_the_first_breakpoint():
+    # a slope on a bounded side extends the data to the bound and is then dropped
+    f = PLProper([0.0], [1.0], slope_left=0.0, slope_right=0.0, dom_lo=-1.0)
+    assert _stored_bits(f) == _stored_bits(PLProper([-1.0], [1.0], slope_right=0.0, dom_lo=-1.0))
+    g = PLProper([0.0, 2.0], [1.0, 3.0], slope_left=-2.0, slope_right=0.5, dom_lo=-1.0, dom_hi=1.0)
+    assert (g.xs, g.vs, g.slope_left, g.slope_right) == ([-1.0, 0.0, 1.0], [3.0, 1.0, 2.0], None, None)
 
 
 def test_improper_split_factory_canonicalizes():
@@ -441,42 +456,72 @@ def test_nonconvex_generator_always_detected():
         assert not definitional_convex(f, rng)
 
 
-def _uncached_rise(f):
-    """The slope order, recomputed: 2 strictly rising, 1 falling only within COLLINEAR_TOL, 0 else."""
+def _uncached_convex(f):
+    """The slope rule, recomputed: no slope falls below the one before by more than COLLINEAR_TOL."""
     s = f.all_slopes()
-    if all(b > a for a, b in zip(s, s[1:])):
-        return 2
-    return int(all(b >= a - COLLINEAR_TOL for a, b in zip(s, s[1:])))
+    return all(a - b <= COLLINEAR_TOL for a, b in zip(s, s[1:]))
 
 
 def _non_canonical_inputs():
+    """Constructor arguments (xs, vs, slope_left, slope_right, dom_lo, dom_hi) that canonicalization changes."""
     xs = [float(i * i) for i in range(60)]
     return [
-        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], slope_left=1.0, slope_right=1.0),
-        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-13], slope_left=1.0, slope_right=1.0),
-        PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-9], slope_left=1.0, slope_right=1.0),
-        PLProper([0.0, 1.0], [0.0, 0.0], slope_left=0.0, slope_right=0.0),
-        PLProper([0.0, 1.0, 3.0], [5.0, 4.0, 6.0], dom_lo=0.0, dom_hi=3.0),
-        PLProper(xs, [-(2.0**-60) * x * x for x in xs], slope_left=-1.0, slope_right=1.0),
-        PLProper(xs, [-(2.0**-30) * x * x for x in xs], slope_left=-1.0, slope_right=1.0),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1.0, 1.0, -INF, INF),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-13], 1.0, 1.0, -INF, INF),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - 1e-9], 1.0, 1.0, -INF, INF),
+        ([0.0, 1.0], [0.0, 0.0], 0.0, 0.0, -INF, INF),
+        ([0.3], [0.7], 1.0 + 2.0**-44, 1.0, -INF, INF),  # affine within COLLINEAR_TOL, falling
+        ([-0.0], [-0.0], -1.0, -1.0, -INF, INF),
+        ([0.0, 1.0, 3.0], [5.0, 4.0, 6.0], None, None, 0.5, 2.0),
+        ([0.0, 1.0, 3.0], [5.0, 4.0, 6.0], -1.0, 2.0, -1.0, 4.0),
+        ([0.0, 1.0, 3.0], [5.0, 4.0, 6.0], -1.0, 2.0, 1.0, 1.0),
+        (xs, [-(2.0**-60) * x * x for x in xs], -1.0, 1.0, -INF, INF),
+        (xs, [-(2.0**-30) * x * x for x in xs], -1.0, 1.0, -INF, INF),
     ]
+
+
+def test_constructor_canonicalizes_like_make():
+    # the identity through three collinear points is the identity anchored at 0
+    assert PLProper([0, 1, 2], [0, 1, 2], slope_left=1, slope_right=1) == PLProper(
+        [0], [0], slope_left=1, slope_right=1
+    )
+    rng = np.random.default_rng(2030)
+    cases = _non_canonical_inputs()
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        xs = sorted(set(rng.choice(np.arange(-8.0, 8.5, 0.5), size=k).tolist()))
+        vs = (rng.integers(-4, 5) * np.asarray(xs) + rng.integers(-2, 3, size=len(xs)) / 2.0).tolist()
+        sl, sr = (float(s) for s in rng.choice([-1.0, 0.0, 0.5, 1.0], size=2))
+        lo = float(rng.choice([-INF, xs[0] - 1.0, xs[0], xs[0] + 0.25]))
+        hi = float(rng.choice([INF, xs[-1] + 1.0, xs[-1], max(lo, xs[-1] - 0.25)]))
+        cases.append((xs, vs, sl, sr, lo, max(lo, hi)))
+    for xs, vs, sl, sr, lo, hi in cases:
+        f = PLProper(xs, vs, sl, sr, lo, hi)
+        g = PLProper.make(list(zip(xs, vs))[::-1], sl, sr, lo, hi)
+        assert _stored_bits(f) == _stored_bits(g), (xs, vs, sl, sr, lo, hi)
+        again = PLProper(f.xs, f.vs, f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+        assert _stored_bits(again) == _stored_bits(f), repr(f)
 
 
 def test_cached_convexity_is_the_slope_rule():
     rng = np.random.default_rng(2031)
     fns = [random_closed_convex_fn(rng) for _ in range(80)] + [random_pl(rng) for _ in range(80)]
-    fns += [random_nonconvex_pl(rng) for _ in range(40)] + _non_canonical_inputs()
+    fns += [random_nonconvex_pl(rng) for _ in range(40)] + [PLProper(*a) for a in _non_canonical_inputs()]
     seen = set()
     for f in fns:
         if not isinstance(f, PLProper):
             assert f.is_convex()
             continue
-        want = _uncached_rise(f)
-        seen.add(want)
+        want = _uncached_convex(f)
         for _ in range(2):
-            assert f.slope_rise() == want, repr(f)
-            assert f.is_convex() == (want > 0), repr(f)
-    assert seen == {0, 1, 2}
+            assert f.is_convex() == want, repr(f)
+        # canonical form: a convex function's slopes strictly rise, unless it is affine
+        s = f.all_slopes()
+        rising = all(a < b for a, b in zip(s, s[1:]))
+        if want and not rising:
+            assert len(f.xs) == 1 and f.xs == [0.0] and len(s) == 2, repr(f)
+        seen.add((want, rising))
+    assert seen == {(False, False), (True, True), (True, False)}
 
 
 def _count_slope_passes(monkeypatch):
@@ -494,13 +539,12 @@ def _count_slope_passes(monkeypatch):
 def test_convexity_is_computed_once_per_instance(monkeypatch):
     calls = _count_slope_passes(monkeypatch)
     rng = np.random.default_rng(2032)
-    for f in [random_convex_pl(rng), random_nonconvex_pl(rng), *_non_canonical_inputs()]:
+    for f in [random_convex_pl(rng), random_nonconvex_pl(rng), *(PLProper(*a) for a in _non_canonical_inputs())]:
         calls.clear()
         first = f.is_convex()
         assert len(calls) == 1
         for _ in range(3):
             assert f.is_convex() == first
-            f.slope_rise()
         assert len(calls) == 1
     # the queries ask the instance, so repeated ones share the pass too
     g = pl([(0.0, 0.0), (1.0, 0.5), (3.0, 4.0)], -1.0, 3.0)
@@ -525,7 +569,7 @@ def test_cached_false_still_raises():
         for _ in range(2):
             with pytest.raises(ValueError, match="convex"):
                 call()
-    assert g.slope_rise() == 0
+    assert not g.is_convex()
 
 
 def test_is_concave_reads_the_mirror_cache(monkeypatch):
@@ -912,6 +956,11 @@ def test_repr_evaluates_back_bit_for_bit():
     third = 1 / 3
     objs += [
         PLProper([0.1, third, 2.0], [-0.0, 1e300, 7e-5], slope_left=-third, dom_hi=2.0),
+        PLProper([-0.0, 1.0], [-0.0, 2.0], slope_right=-1.0, dom_lo=-0.0),
+        pl([(-0.0, -0.0)], slope_left=-1.0, slope_right=-1.0),
+        pl([(0.0, -0.0)], slope_left=1.0, slope_right=1.0),
+        pl([(-0.0, -0.0)], slope_left=-0.0, slope_right=-0.0),
+        pl([(third, 0.25)], slope_left=-third, slope_right=-third - 2.0**-50),
         pl([(0.1, third)], slope_left=-math.pi, slope_right=5e-324),
         ImproperSplit(-INF, 0.1),
         ImproperSplit(third, INF),

@@ -261,6 +261,25 @@ def test_scaled_monoid_rejects_labels_outside_the_carrier():
         ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "1/2": ["nope", Z, T]})
 
 
+@pytest.mark.parametrize(
+    "carrier, add, message",
+    [
+        ([], [], "nonempty"),
+        (["a", "a"], [["a", "a"], ["a", "a"]], "distinct"),
+        (["a", "b"], [["a", "b"]], "n x n"),
+        (["a", "b"], [["a", "b"], ["b"]], "n x n"),
+        (["a", "b"], [["a", "b"], ["b", "c"]], r"add\[1\]\[1\] = 'c'"),
+    ],
+    ids=["empty", "repeated-label", "short-table", "short-row", "foreign-entry"],
+)
+def test_both_structures_check_carrier_and_table_alike(carrier, add, message):
+    leq = [[i == j for j in range(len(carrier))] for i in range(len(carrier))]
+    with pytest.raises(ValueError, match=message):
+        FiniteOrderedGroupoid(carrier, add, leq)
+    with pytest.raises(ValueError, match=message):
+        ScaledMonoid(carrier, add, {"1": carrier})
+
+
 # ---------------------------------------------------------------------------
 # A list-based reference checker: residual sets as lists, infima by
 # scanning lower bounds, and condition C over every subset (or, with more

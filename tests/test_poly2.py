@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from infsup.poly2 import ConvexPoly2, hull_union, intersect_all
+from infsup.poly2 import TOL, ConvexPoly2, _hull_ccw, hull_union, intersect_all
 
 build = ConvexPoly2.from_halfplanes
 
@@ -256,6 +256,38 @@ def test_minkowski_matches_vertex_sums():
         S, want = A.minkowski(B), _minkowski_by_vertex_sums(A, B)
         assert S.validate() and S.empty is want.empty and S.same_set(want), (A, B)
         assert (len(S.verts), len(S.rays)) == (len(want.verts), len(want.rays)), (A, B)
+
+
+def test_vertex_sums_along_a_long_edge_add_no_vertex():
+    # the sums of adjacent vertices of A lie on the edges of 2A; rounding
+    # pushes some of them about 1e-12 outside, which the hull must not keep
+    rows = [
+        ((0.7906987897172065, 0.6122053772548431), 0.5050659897443803),
+        ((3.408619616397363e-05, 0.9999999994190656), 0.8581697894682495),
+        ((-0.7683722279462962, -0.6400032182113188), 1.4873523421029153),
+        ((0.6128469260711074, -0.7902016484449996), 0.795742426291709),
+    ]
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        A = build([(n, c * scale) for n, c in rows])
+        want = A.minkowski(A)
+        got = _minkowski_by_vertex_sums(A, A)
+        assert len(want.verts) == len(got.verts) == 4, (scale, got.verts)
+        for v in got.verts:
+            assert min(math.hypot(v[0] - w[0], v[1] - w[1]) for w in want.verts) <= 1e-9 * scale, (scale, v)
+
+
+def test_hull_drops_points_within_tolerance_of_an_edge_at_every_scale():
+    # three points on the hypotenuse of a right triangle of size s, pushed
+    # outward together: by 0.1 * TOL * s they sit on the edge as far as the
+    # hull can tell; by 1e3 * TOL * s the outer two are vertices and the
+    # middle one lies on the chord between them
+    for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        counts = []
+        for rel in (0.1, 1e3):
+            push = rel * TOL * max(1.0, s) / math.sqrt(2.0)
+            on_edge = [(s * t + push, s * (1.0 - t) + push) for t in (0.25, 0.5, 0.8)]
+            counts.append(len(_hull_ccw([(0.0, 0.0), (s, 0.0), (0.0, s), *on_edge])))
+        assert counts == [3, 5], s
 
 
 def test_support_identities():
