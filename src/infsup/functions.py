@@ -702,6 +702,8 @@ def dual_scale(t, xi):
     t = 0 sends everything to the proper zero functional, the neutral
     element of the dual's conlinear structure.
     """
+    if not isinstance(xi, DualElem):
+        raise TypeError("dual_scale expects a DualElem")
     t = float(t)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"scale factor must be a finite real >= 0, got {t}")

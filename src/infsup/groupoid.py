@@ -14,8 +14,9 @@ a lattice, C implies it back (Blyth & Janowitz, *Residuation Theory*,
 1972), and all four are equivalent; on a bare partial order C can hold
 while the others fail.  On a finite carrier all four are decided
 exactly, which makes these statements testable.  This module implements
-the checks, a residual lookup, the conlinear-space axioms for scalar
-actions, and a generator of random valid structures for fuzzing.
+the checks, a residual lookup, a generator of random valid structures
+for fuzzing, and ``ScaledMonoid``, which hands a finite table with a
+scalar action to ``laws.check_conlinear``, the conlinear-space axioms.
 
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
@@ -136,10 +137,7 @@ class FiniteOrderedGroupoid:
         return len(self.carrier)
 
     def index(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not a carrier element") from None
+        return _to_index(self._index, label, "label")
 
     def _bound(self, mask, mode):
         """Infimum (mode inf) or supremum (mode sup) of the index set ``mask``, or None.
@@ -193,18 +191,22 @@ class ConditionReport:
 
     condition: str
     mode: str
-    holds: bool
     witnesses: list
 
-    def __post_init__(self):
-        assert self.holds == (not self.witnesses)
+    @property
+    def holds(self):
+        return not self.witnesses
 
 
 @dataclass
 class EquivalenceReport:
     mode: str
-    agree: bool
     reports: dict
+
+    @property
+    def agree(self):
+        """Whether all four conditions hold, or all four fail."""
+        return len({r.holds for r in self.reports.values()}) == 1
 
 
 def _c_failure(G, S, mode):
@@ -282,7 +284,7 @@ def check_condition(G, condition, mode):
             witnesses.append(w)
             if len(witnesses) == MAX_WITNESSES:
                 break
-    return ConditionReport(condition, mode, not witnesses, witnesses)
+    return ConditionReport(condition, mode, witnesses)
 
 
 def check_equivalence(G, mode):
@@ -291,9 +293,7 @@ def check_equivalence(G, mode):
     A, B and D agree on every valid structure; C agrees with them when
     the order is a lattice (see the module docstring).
     """
-    reports = {c: check_condition(G, c, mode) for c in CONDITIONS}
-    outcomes = {r.holds for r in reports.values()}
-    return EquivalenceReport(mode, len(outcomes) == 1, reports)
+    return EquivalenceReport(mode, {c: check_condition(G, c, mode) for c in CONDITIONS})
 
 
 def residual(G, u, v, mode):
@@ -311,7 +311,7 @@ def residual(G, u, v, mode):
 
 
 # ---------------------------------------------------------------------------
-# Conlinear-space axioms for a finite carrier with a scalar action.
+# A finite carrier with a scalar action, as callables for laws.check_conlinear.
 # ---------------------------------------------------------------------------
 
 
@@ -319,9 +319,10 @@ class ScaledMonoid:
     """Finite carrier, addition table, and a scalar action by probe scalars.
 
     ``scale`` maps each probe scalar (a non-negative Fraction or float)
-    to the list of images of the carrier under that scalar.  The probe
-    set should contain 0 and 1; closure under products and sums is not
-    required, axiom checks simply skip pairs that leave the probe set.
+    to the list of images of the carrier under that scalar.  ``plus``
+    and ``times`` read the tables on labels, which is the form
+    ``laws.check_conlinear(S.carrier, S.plus, S.times, S.scale)`` takes;
+    its probe set must contain 0 and 1.
     """
 
     def __init__(self, carrier, add, scale):
@@ -338,102 +339,18 @@ class ScaledMonoid:
                 _to_index(self._index, x, f"scale[{t}][{i}]") for i, x in enumerate(images)
             ]
 
-    @property
-    def size(self):
-        return len(self.carrier)
+    def plus(self, x, y):
+        """The label of x + y."""
+        i, j = _to_index(self._index, x, "x"), _to_index(self._index, y, "y")
+        return self.carrier[self.add[i][j]]
 
-
-@dataclass
-class ConlinearReport:
-    is_conlinear: bool
-    neutral: object
-    violations: list
-    convex_elements: list
-
-
-def check_conlinear(S):
-    """Check the conlinear-space axioms on a ScaledMonoid.
-
-    Verifies that addition is a commutative monoid (with a neutral
-    element), that every probe scalar distributes over addition, that
-    composing scalar actions matches multiplied scalars whenever the
-    product is again a probe, that 1 acts as identity, and that 0 sends
-    the neutral element to itself.  Also reports which elements are
-    convex (scaling distributes over scalar sums for them).
-    """
-    n = S.size
-    lab = S.carrier
-    add = S.add
-    violations = []
-
-    def note(kind, tup):
-        if len(violations) < MAX_WITNESSES:
-            violations.append((kind, tup))
-
-    for i in range(n):
-        for j in range(n):
-            if add[i][j] != add[j][i]:
-                note("C1-commutative", (lab[i], lab[j]))
-            for k in range(n):
-                if add[add[i][j]][k] != add[i][add[j][k]]:
-                    note("C1-associative", (lab[i], lab[j], lab[k]))
-
-    neutral = None
-    for e in range(n):
-        if all(add[e][w] == w for w in range(n)):
-            neutral = e
-            break
-    if neutral is None:
-        note("C1-neutral", ())
-
-    probes = sorted(S.scale)
-    for t in probes:
-        img = S.scale[t]
-        for i in range(n):
-            for j in range(n):
-                if img[add[i][j]] != add[img[i]][img[j]]:
-                    note("C2-i", (str(t), lab[i], lab[j]))
-    for r in probes:
-        for s in probes:
-            if r * s not in S.scale:
-                continue
-            rs = S.scale[r * s]
-            for w in range(n):
-                if S.scale[s][S.scale[r][w]] != rs[w]:
-                    note("C2-ii", (str(r), str(s), lab[w]))
-    one = Fraction(1)
-    if one in S.scale:
-        for w in range(n):
-            if S.scale[one][w] != w:
-                note("C2-iii", (lab[w],))
-    else:
-        note("C2-iii", ("probe 1 missing",))
-    zero = Fraction(0)
-    if neutral is not None:
-        if zero in S.scale:
-            if S.scale[zero][neutral] != neutral:
-                note("C2-iv", (lab[neutral],))
-        else:
-            note("C2-iv", ("probe 0 missing",))
-
-    convex = []
-    for w in range(n):
-        ok = True
-        for s in probes:
-            for t in probes:
-                if s + t not in S.scale:
-                    continue
-                if S.scale[s + t][w] != add[S.scale[s][w]][S.scale[t][w]]:
-                    ok = False
-        if ok:
-            convex.append(lab[w])
-
-    return ConlinearReport(
-        is_conlinear=not violations,
-        neutral=None if neutral is None else lab[neutral],
-        violations=violations,
-        convex_elements=convex,
-    )
+    def times(self, t, x):
+        """The label of t * x, for a probe scalar t."""
+        try:
+            images = self.scale[Fraction(t)]
+        except KeyError:
+            raise ValueError(f"{t} is not a probe scalar of this table") from None
+        return self.carrier[images[_to_index(self._index, x, "x")]]
 
 
 # ---------------------------------------------------------------------------

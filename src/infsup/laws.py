@@ -1,24 +1,33 @@
-"""Seeded random fixtures and law suites.
+"""Seeded random fixtures, and the conlinear-space axioms over callables.
 
-Everything here is deterministic given a numpy Generator: the same seed
-produces the same corpus, which is what lets the CLI expose the law
-suites as reproducible checks and lets the tests pin counterexample-free
-runs.  Fixture values live on coarse dyadic grids (halves) so that the
-exact-arithmetic laws can be asserted without tolerances wherever the
-operations themselves are exact.
+The fixtures are deterministic given a numpy Generator: the same seed
+produces the same corpus, which is what lets the tests and the bench pin
+counterexample-free runs.  Fixture values live on coarse dyadic grids
+(halves) so that the exact-arithmetic laws can be asserted without
+tolerances wherever the operations themselves are exact.
+
+``check_conlinear`` checks the axioms every image space of the package
+shares (a commutative monoid with a non-negative scaling) on a finite
+sample, given the space's addition and scaling as callables: ``UpReal``
+with ``isum``/``scale``, ``DownReal`` with ``ssum``/``scale``, the
+inf-dual with ``dual_add``/``dual_scale``, and finite tables through
+``groupoid.ScaledMonoid``.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 
-from . import extreal as xr
 from .functions import (
     ConstBottom,
     ConstTop,
     PLProper,
     improper_split,
 )
+from .groupoid import MAX_WITNESSES
 
 X_GRID = np.arange(-8.0, 8.5, 0.5)
 SLOPE_GRID = np.arange(-5.0, 5.5, 0.5)
@@ -84,11 +93,7 @@ def random_nonconvex_pl(rng, max_breaks=5):
 
 def random_improper_split(rng):
     lo = float(rng.choice([-np.inf, *X_GRID]))
-    hi = float(rng.choice([np.inf, *X_GRID[X_GRID >= lo]])) if lo > -np.inf else float(
-        rng.choice([np.inf, *X_GRID])
-    )
-    if lo > hi:
-        lo, hi = hi, lo
+    hi = float(rng.choice([np.inf, *X_GRID[X_GRID >= lo]]))
     return improper_split(lo, hi)
 
 
@@ -103,3 +108,76 @@ def random_closed_convex_fn(rng):
     if u < 0.925:
         return ConstTop()
     return ConstBottom()
+
+
+@dataclass
+class ConlinearReport:
+    """Axiom violations as (axiom, witness) pairs; ``neutral`` is None if none was found."""
+
+    neutral: object
+    violations: list
+    convex_elements: list
+
+    @property
+    def is_conlinear(self):
+        return not self.violations
+
+
+def check_conlinear(elems, add, scale, probes):
+    """Check the conlinear-space axioms (Hamel 2009) on a finite sample of a space.
+
+    ``add(x, y)`` and ``scale(t, x)`` are the space's operations and
+    ``probes`` the scalars t >= 0 tried; elements are compared with ``==``.
+    C1: ``add`` is commutative and associative and has a neutral element θ
+    in ``elems``.  C2-i: t(x + y) = tx + ty.  C2-ii: s(rx) = (rs)x when rs
+    is a probe.  C2-iii: 1x = x.  C2-iv: 0θ = θ.  Each axiom lists at most
+    ``MAX_WITNESSES`` witnesses.  The convex elements, those with
+    (s + t)x = sx + tx whenever s + t is a probe, are listed too.
+
+    The axioms do not fix 0·(±∞): a scale with 0·(±∞) = ±∞ passes all of
+    them on an extreal sample, so ``extreal.scale``'s 0·(±∞) = 0 is a
+    convention, pinned by its own tests.  Raises ValueError when
+    ``probes`` lacks 0 or 1.
+    """
+    elems = list(elems)
+    probes = sorted(set(probes))
+    if 0 not in probes or 1 not in probes:
+        raise ValueError(f"probes must contain 0 and 1, got {probes}")
+    pairs = list(itertools.product(elems, repeat=2))
+    violations = []
+
+    def note(axiom, *witness):
+        if sum(a == axiom for a, _ in violations) < MAX_WITNESSES:
+            violations.append((axiom, witness))
+
+    for x, y in pairs:
+        xy = add(x, y)
+        if xy != add(y, x):
+            note("C1-commutative", x, y)
+        for z in elems:
+            if add(xy, z) != add(x, add(y, z)):
+                note("C1-associative", x, y, z)
+    neutral = next((e for e in elems if all(add(e, w) == w for w in elems)), None)
+    if neutral is None:
+        note("C1-neutral")
+
+    for t in probes:
+        for x, y in pairs:
+            if scale(t, add(x, y)) != add(scale(t, x), scale(t, y)):
+                note("C2-i", t, x, y)
+    for r, s in itertools.product(probes, repeat=2):
+        if r * s in probes:
+            for x in elems:
+                if scale(s, scale(r, x)) != scale(r * s, x):
+                    note("C2-ii", r, s, x)
+    for x in elems:
+        if scale(1, x) != x:
+            note("C2-iii", x)
+    if neutral is not None and scale(0, neutral) != neutral:
+        note("C2-iv", neutral)
+
+    sums = [(s, t) for s, t in itertools.product(probes, repeat=2) if s + t in probes]
+    convex = [
+        x for x in elems if all(scale(s + t, x) == add(scale(s, x), scale(t, x)) for s, t in sums)
+    ]
+    return ConlinearReport(neutral, violations, convex)

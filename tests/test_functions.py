@@ -754,6 +754,8 @@ def test_dual_scale():
         dual_scale(-1.0, DualElem.proper(1.0))
     with pytest.raises(ValueError):
         dual_scale(INF, DualElem.proper(1.0))
+    with pytest.raises(TypeError):
+        dual_scale(2.0, 3.0)
 
 
 def test_dual_elem_canonical_equality():

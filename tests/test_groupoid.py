@@ -11,11 +11,11 @@ from infsup.groupoid import (
     ScaledMonoid,
     _random_tables,
     check_condition,
-    check_conlinear,
     check_equivalence,
     random_groupoid,
     residual,
 )
+from infsup.laws import check_conlinear
 
 B, Z, T = "-inf", "0", "+inf"
 CHAIN = [B, Z, T]
@@ -229,7 +229,8 @@ def _chain_scaled(add):
 
 def test_chain_models_are_conlinear():
     for add in (UP_ADD, DOWN_ADD):
-        rep = check_conlinear(_chain_scaled(add))
+        S = _chain_scaled(add)
+        rep = check_conlinear(S.carrier, S.plus, S.times, S.scale)
         assert rep.is_conlinear
         assert rep.neutral == Z
         assert rep.convex_elements == list(CHAIN)
@@ -241,7 +242,7 @@ def test_broken_zero_action_is_flagged():
         UP_ADD,
         {"0": [Z, T, Z], "1": CHAIN, "2": CHAIN, "1/2": CHAIN},
     )
-    rep = check_conlinear(bad)
+    rep = check_conlinear(bad.carrier, bad.plus, bad.times, bad.scale)
     assert not rep.is_conlinear
     assert any(kind == "C2-iv" for kind, _ in rep.violations)
 

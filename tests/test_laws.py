@@ -1,0 +1,103 @@
+"""The conlinear-space axioms, checked through one checker on every image space."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from infsup import extreal as xr
+from infsup.functions import DualElem, dual_add, dual_scale
+from infsup.groupoid import ScaledMonoid
+from infsup.laws import check_conlinear
+
+PROBES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+def _dyadics(seed, n=5):
+    """n seeded quarter-grid reals in [-4, 4]."""
+    return [float(v) for v in np.random.default_rng(seed).integers(-16, 17, size=n) / 4]
+
+
+def _extreal(cls, add):
+    elems = [cls(v) for v in (0.0, np.inf, -np.inf, *_dyadics(1))]
+    return elems, add, xr.scale, cls(0.0)
+
+
+def _dual():
+    a = _dyadics(2)
+    elems = [DualElem.proper(0.0), DualElem.hat(0.0), DualElem.hat(1.0), DualElem.hat(-1.0)]
+    elems += [DualElem.proper(x) for x in a] + [DualElem.hat(x) for x in a]
+    return elems, dual_add, dual_scale, DualElem.proper(0.0)
+
+
+def _chain(cls, add):
+    """{-inf, 0, +inf} under ``add`` and ``extreal.scale``, as label tables."""
+    vals = [cls(v) for v in (-np.inf, 0.0, np.inf)]
+    S = ScaledMonoid(
+        [repr(x) for x in vals],
+        [[repr(add(x, y)) for y in vals] for x in vals],
+        {t: [repr(xr.scale(t, x)) for x in vals] for t in PROBES},
+    )
+    return S.carrier, S.plus, S.times, repr(cls(0.0))
+
+
+SPACES = {
+    "UpReal": lambda: _extreal(xr.UpReal, xr.isum),
+    "DownReal": lambda: _extreal(xr.DownReal, xr.ssum),
+    "dual": _dual,
+    "up-chain": lambda: _chain(xr.UpReal, xr.isum),
+    "down-chain": lambda: _chain(xr.DownReal, xr.ssum),
+}
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_every_image_space_is_conlinear(space):
+    elems, add, scale, neutral = SPACES[space]()
+    rep = check_conlinear(elems, add, scale, PROBES)
+    assert rep.is_conlinear, rep.violations
+    assert rep.neutral == neutral
+    assert rep.convex_elements == list(elems)
+    for probes in (PROBES[1:], [t for t in PROBES if t != 1]):
+        with pytest.raises(ValueError, match="0 and 1"):
+            check_conlinear(elems, add, scale, probes)
+
+
+def _shifted(t, x):
+    """t*x + t(1 - t): additive only at t = 0 and t = 1."""
+    return xr.isum(xr.scale(t, x), xr.up(float(t * (1 - t))))
+
+
+# Broken operations on UpReal, and the exact set of axioms each one breaks.
+BROKEN = {
+    "left-projection": (lambda x, y: x, xr.scale, {"C1-commutative", "C1-neutral"}),
+    "midpoint": (
+        lambda x, y: xr.scale(0.5, xr.isum(x, y)),
+        xr.scale,
+        {"C1-associative", "C1-neutral"},
+    ),
+    "shifted-sum": (
+        lambda x, y: xr.isum(xr.isum(x, y), xr.up(1.0)),
+        xr.scale,
+        {"C1-neutral", "C2-i"},
+    ),
+    "affine-scale": (xr.isum, _shifted, {"C2-i", "C2-ii"}),
+    "saturating-scale": (xr.isum, lambda t, x: xr.scale(min(t, 1), x), {"C2-ii"}),
+    "doubled-one": (
+        xr.isum,
+        lambda t, x: xr.scale(2 if t == 1 else t, x),
+        {"C2-ii", "C2-iii"},
+    ),
+    "zero-to-top": (
+        xr.isum,
+        lambda t, x: xr.scale(t, x) if t else xr.UpReal.top(),
+        {"C2-iv"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN)
+def test_each_axiom_names_its_violations(case):
+    add, scale, broken = BROKEN[case]
+    elems = _extreal(xr.UpReal, xr.isum)[0]
+    rep = check_conlinear(elems, add, scale, PROBES)
+    assert {axiom for axiom, _ in rep.violations} == broken
