@@ -6,16 +6,21 @@ biconjugation, and infimal convolution.  Every supremum or infimum over
 the real line is computed in closed form from the piecewise-linear
 structure; nothing in this module samples a grid.
 
-The conjugate machinery rests on one primitive, the exact transform of
-a piecewise-linear function h into w -> sup_u (w*u - h(u)): the sup is
-Top outside the slope window set by h's infinite rays and otherwise is
-the upper envelope of the lines w -> x_i*w - v_i through h's
-breakpoints.  That envelope is the lower convex hull of the breakpoints
-read in the dual, so the transform is built on ``functions._lower_hull``,
-the same hull stack as ``closure_hull``.  The transform is applied twice
-for biconjugation.  At a hat of slope a the conjugate needs only the
-support function of the domain, ``_support``: the hat with offset r
-lies below g exactly when sup over dom g of a*x is at most r.
+A single conjugate value g*(xi, r) comes from ``conjugate`` and from
+nowhere else.  For a proper xi of slope a it is the residuation
+sup_x (a*x - g(x)) up-minus r, with the sup from ``_sup_linear_minus``
+(O(log k) on a convex g); for a hat it needs only the support function
+of the domain, ``_support``: the hat with offset r lies below g exactly
+when sup over dom g of a*x is at most r.  The whole conjugate curve
+a -> g*(a, 0) is the exact transform ``_pl_legendre`` of a
+piecewise-linear h into w -> sup_u (w*u - h(u)): Top outside the slope
+window set by h's infinite rays and otherwise the upper envelope of the
+lines w -> x_i*w - v_i through h's breakpoints.  That envelope is the
+lower convex hull of the breakpoints read in the dual, so the transform
+is built on ``functions._lower_hull``, the same hull stack as
+``closure_hull``.  It serves ``conjugate_curve``, ``biconjugate``
+(which applies it twice) and ``subdiff_conjugate_check`` (which probes
+many slopes of one function).
 
 The infimal convolution of proper functions does not go through the
 transform: its epigraph is the Minkowski sum of the two epigraphs, so
@@ -45,6 +50,7 @@ from .extreal import (
     as_up,
     idif,
     isum,
+    sdif,
     ssum,
 )
 from .functions import (
@@ -128,15 +134,14 @@ class SubdiffDescription:
     an (lo, hi) pair with infinite ends allowed, or None when empty.
     ``improper`` holds the canonical hat slopes (each in {-1, 0, +1});
     the constant-Bottom element, canonical slope 0, belongs to every
-    extended subdifferential, which is what ``contains_bottom`` records.
+    extended subdifferential, so 0.0 is always in ``improper``.
     """
 
     proper: tuple | None
     improper: frozenset
-    contains_bottom: bool = True
 
     def __post_init__(self):
-        if 0.0 not in self.improper or not self.contains_bottom:
+        if 0.0 not in self.improper:
             raise ValueError("the constant Bottom element is always a subgradient")
 
     def proper_contains(self, a):
@@ -220,6 +225,10 @@ def is_subgradient(g, x0, xi):
 def _sup_linear_minus(g, a):
     """sup over x of a*x - g(x), as a float in [-inf, +inf].
 
+    Three functions read it: ``conjugate`` (every single conjugate value
+    at a proper element), ``minorant_conditions`` through ``conjugate``,
+    and ``is_subgradient``.
+
     For a piecewise-linear proper function the sup is +inf exactly when
     a falls outside the slope window of the infinite rays, and otherwise
     is attained at a breakpoint.  Functions with a Bottom point push the
@@ -302,40 +311,19 @@ def _support(a, interval):
 
 @dataclass(frozen=True)
 class ConjugateCurve:
-    """The conjugate of one function, packaged for repeated queries.
+    """The conjugate of one function as a curve over the proper slopes.
 
     ``curve`` is the slope-variable function a -> conjugate at (a, 0),
-    stored in the up representation; its values are read in the down
-    space through :meth:`proper_value` (conjugates are down-valued, and
-    the reinterpretation keeps the numeric value while a negation
-    wrapper would flip it).  ``base_dom`` is the domain of the original
-    function and drives the hat rule: at a hat the conjugate is Bottom
-    exactly when the hat's favorable halfline covers that domain.
+    stored in the up representation; the conjugate at (a, r) is
+    ``idif(curve.eval(a), UpReal(r))`` read in the down space.  Single
+    values, hats included, come from :func:`conjugate`.
     """
 
     curve: UpFunction
-    base_dom: tuple | None
-
-    def proper_value(self, a, r=0.0):
-        u = self.curve.eval(a)
-        return as_down(idif(u, UpReal(float(r))))
-
-    def hat_value(self, a, r):
-        if _support(a, self.base_dom) <= float(r):
-            return DownReal.bottom()
-        return DownReal.top()
-
-    def value(self, xi, r):
-        if not isinstance(xi, DualElem):
-            raise TypeError("value expects a DualElem")
-        r = _require_finite(r, "r")
-        if xi.is_hat:
-            return self.hat_value(xi.a, r)
-        return self.proper_value(xi.a, r)
 
 
 def conjugate_curve(g):
-    """Precompute the conjugate of g as a ConjugateCurve.
+    """The conjugate of g over the proper slopes, as a ConjugateCurve.
 
     The proper-slope curve is the exact transform for piecewise-linear
     g (identically Bottom for the empty function, identically Top as
@@ -349,12 +337,27 @@ def conjugate_curve(g):
         curve = ConstBottom() if g.dom() is None else ConstTop()
     else:
         raise TypeError(f"not an up-space function: {type(g).__name__}")
-    return ConjugateCurve(curve=curve, base_dom=g.dom())
+    return ConjugateCurve(curve=curve)
 
 
 def conjugate(g, xi, r):
-    """The conjugate of g at the affine dual element (xi, r), a DownReal."""
-    return conjugate_curve(g).value(xi, r)
+    """The conjugate of g at the affine dual element (xi, r), a DownReal.
+
+    At a hat of slope a it is Bottom exactly when the hat's favorable
+    halfline covers dom g (``_support(a, dom g) <= r``), else Top.  At a
+    proper slope a it is the residuation sup_x (a*x - g(x)) up-minus r,
+    read in the down space.
+    """
+    if not isinstance(xi, DualElem):
+        raise TypeError("conjugate expects a DualElem")
+    if not isinstance(g, UpFunction):
+        raise TypeError(f"not an up-space function: {type(g).__name__}")
+    r = _require_finite(r, "r")
+    if xi.is_hat:
+        if _support(xi.a, g.dom()) <= r:
+            return DownReal.bottom()
+        return DownReal.top()
+    return as_down(idif(UpReal(_sup_linear_minus(g, xi.a)), UpReal(r)))
 
 
 def young_fenchel_check(g, xi, r, x):
@@ -381,65 +384,34 @@ def young_fenchel_check(g, xi, r, x):
 
 @dataclass(frozen=True)
 class MinorantReport:
-    """Joint evaluation of the equivalent minorant conditions for (xi, r).
+    """The affine-minorant conditions for (xi, r), read off one conjugate value.
 
-    (a) the pointwise inequality; (b) sup of the up-differences <= 0;
-    (d) inf of the reversed down-differences >= 0; (f) the hat
-    domain-inclusion test, None for proper elements.  For a hat that is
-    a minorant the sup collapses to Bottom and the inf to Top.
-    Conditions (c) and (e) take the same sup and inf through the
-    identity p up-minus q = p down-plus (-q) and its mirror for the
-    down-difference, so they equal (b) and (d) by that identity and are
-    not evaluated again; ``all_agree`` compares only the conditions
-    evaluated here.
+    (a) the pointwise inequality; (b) sup of the up-differences
+    xi_r(x) up-minus g(x), which is the conjugate c itself; (d) inf of
+    the reversed down-differences, 0 down-minus c.  For a hat that is a
+    minorant the sup collapses to Bottom and the inf to Top.  All three
+    come from the one value c, so they agree by construction; the
+    independent checks are brute-force scans of the definition.
     """
 
     a_pointwise: bool
     sup_dif: UpReal
     inf_dif: DownReal
-    dom_included: bool | None
-
-    @property
-    def b_holds(self):
-        return self.sup_dif <= UpReal(0.0)
-
-    @property
-    def d_holds(self):
-        return self.inf_dif >= DownReal(0.0)
 
     @property
     def all_agree(self):
-        vals = [self.a_pointwise, self.b_holds, self.d_holds]
-        if self.dom_included is not None:
-            vals.append(self.dom_included)
-        return len(set(vals)) == 1
+        """Whether (a), (b) and (d) read the same; true by construction."""
+        return self.a_pointwise == (self.sup_dif <= UpReal(0.0)) == (self.inf_dif >= DownReal(0.0))
 
 
 def minorant_conditions(g, xi, r):
     """Evaluate the affine-minorant conditions for xi_r against g."""
-    if not isinstance(xi, DualElem):
-        raise TypeError("minorant_conditions expects a DualElem")
-    r = _require_finite(r, "r")
-    if xi.is_hat:
-        incl = _support(xi.a, g.dom()) <= r
-        return MinorantReport(
-            a_pointwise=incl,
-            sup_dif=UpReal.bottom() if incl else UpReal.top(),
-            inf_dif=DownReal.top() if incl else DownReal.bottom(),
-            dom_included=incl,
-        )
-    G = _sup_linear_minus(g, xi.a)
-    if math.isinf(G):
-        sup_dif = UpReal(G)
-        inf_dif = DownReal(-G)
-    else:
-        sup_dif = UpReal(G - r)
-        inf_dif = DownReal(r - G)
+    c = conjugate(g, xi, r)
+    sup_dif = as_up(c)
     return MinorantReport(
-        a_pointwise=G <= r,
+        a_pointwise=sup_dif <= UpReal(0.0),
         sup_dif=sup_dif,
-        inf_dif=inf_dif,
-        dom_included=None,
+        inf_dif=sdif(DownReal(0.0), c),
     )
 
 
@@ -642,15 +614,15 @@ def subdiff_conjugate_check(g, x0):
     if v0.is_top:
         ok = sd.proper is None and sd.improper == frozenset({0.0})
         return SubdiffConjReport(x0_in_dom=False, probes=(), agree=ok)
-    cc = conjugate_curve(g)
+    curve = conjugate_curve(g).curve
     rows = []
     for a in _probe_slopes(g):
         via_sd = sd.proper_contains(a)
-        lhs = isum(as_up(cc.proper_value(a, a * x0)), v0)
+        lhs = isum(idif(curve.eval(a), UpReal(a * x0)), v0)
         rows.append((f"proper:{a:g}", via_sd, lhs <= UpReal(0.0)))
     for a in (-1.0, 0.0, 1.0):
         via_sd = sd.hat_contains(a)
-        lhs = isum(as_up(cc.hat_value(a, a * x0)), v0)
+        lhs = isum(as_up(conjugate(g, DualElem.hat(a), a * x0)), v0)
         rows.append((f"hat:{a:g}", via_sd, lhs <= UpReal.bottom()))
     agree = all(b == c for _, b, c in rows)
     return SubdiffConjReport(x0_in_dom=True, probes=tuple(rows), agree=agree)

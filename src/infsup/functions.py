@@ -682,6 +682,12 @@ def dual_add(xi, eta):
 
     hat + hat is the hat of the summed underlying slopes; hat + proper
     is the hat unchanged; proper + proper adds slopes.
+
+    Known defect: summing raw slopes makes hat + hat depend on the
+    representative, not on the ``==`` class.  ``hat(2) == hat(1)``, yet
+    ``hat(2) + hat(-1)`` is ``hat(1)`` while ``hat(1) + hat(-1)`` is
+    ``hat(0)``.  For hats of opposite sign it is not the pointwise
+    ``isum`` either: that sum is Bottom only at 0, not everywhere.
     """
     if not isinstance(xi, DualElem) or not isinstance(eta, DualElem):
         raise TypeError("dual_add expects DualElem arguments")

@@ -44,6 +44,7 @@ from infsup.functions import (
     negate_fn,
     pl,
 )
+from infsup import calculus
 from infsup.calculus import (
     ConjugateCurve,
     _pl_legendre,
@@ -353,7 +354,7 @@ class TestSubdiff:
         sd = subdiff_extended(abs_fn(), 0.0)
         assert sd.proper == (-1.0, 1.0)
         assert sd.improper == frozenset({0.0})
-        assert sd.contains_bottom
+        assert 0.0 in sd.improper
 
     def test_abs_off_kink(self):
         sd = subdiff_extended(abs_fn(), 2.0)
@@ -606,18 +607,22 @@ class TestConjugate:
 
     def test_against_grid_sup(self):
         for g in mixed_corpus(606, 40):
+            curve = conjugate_curve(g).curve
             for xi in candidate_duals(g):
                 for r in (-2.0, 0.0, 1.5):
                     c = as_up(conjugate(g, xi, r))
                     terms = conj_grid_terms(g, xi, r, 30.0)
                     wide = conj_grid_terms(g, xi, r, 120.0, far=4e4)
                     assert_sup_matches(c, terms, wide)
+                    if not xi.is_hat:
+                        # the whole-curve transform against the same grid
+                        assert_sup_matches(idif(curve.eval(xi.a), UpReal(r)), terms, wide)
 
     def test_curve_is_convex_and_down_valued(self):
         for g in mixed_corpus(607, 25):
             cc = conjugate_curve(g)
             assert cc.curve.is_convex()
-            assert isinstance(cc.proper_value(0.5), DownReal)
+            assert isinstance(conjugate(g, DualElem.proper(0.5), 0.0), DownReal)
 
     def test_sees_only_the_hull(self):
         # conjugation cannot distinguish a function from its closed
@@ -629,6 +634,40 @@ class TestConjugate:
             a = conjugate_curve(g).curve
             b = conjugate_curve(h).curve
             assert fn_allclose(a, b, 1e-9)
+
+    def test_one_value_for_minorant_conditions(self):
+        # minorant_conditions reads the same conjugate value, bit for bit,
+        # on float data where rounding would separate two formulas
+        rng = np.random.default_rng(609)
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            for _ in range(12):
+                k = int(rng.integers(2, 41))
+                g = float_convex_pl(rng, k, scale, *(rng.random(2) < 0.3))
+                lo, hi = g.slope_window()
+                slopes = g.all_slopes()
+                lo, hi = max(lo, min(slopes) - 1.0), min(hi, max(slopes) + 1.0)
+                for a in rng.uniform(lo, hi, size=10).tolist() + slopes[:5]:
+                    r = float(rng.uniform(-10.0, 10.0)) * scale
+                    for xi in (DualElem.proper(a), DualElem.hat(a)):
+                        c = as_up(conjugate(g, xi, r))
+                        assert bits(c.value) == bits(minorant_conditions(g, xi, r).sup_dif.value), (g, xi, r)
+
+    def test_point_values_skip_the_curve(self, monkeypatch):
+        # single conjugate values never build the whole transform
+        def refuse(f):
+            raise AssertionError("_pl_legendre called for a single value")
+
+        monkeypatch.setattr(calculus, "_pl_legendre", refuse)
+        gs = mixed_corpus(610, 30)
+        for g in gs:
+            for xi in candidate_duals(g):
+                assert isinstance(conjugate(g, xi, 0.5), DownReal)
+                assert isinstance(minorant_conditions(g, xi, 0.5), MinorantReport)
+                assert young_fenchel_check(g, xi, 0.5, 1.0) == (True, True, True)
+        convex = [g for g in gs if g.is_convex()]
+        for f, g in zip(convex, convex[1:]):
+            for xi in candidate_duals(f):
+                assert infconv_conjugate_check(f, g, xi, 0.5).equal
 
 
 class TestYoungFenchel:
@@ -1084,7 +1123,7 @@ class TestMinorantConditions:
         # the reversed inf is Top
         g = improper_split(0.0, INF)
         rep = minorant_conditions(g, DualElem.hat(-1.0), 0.0)
-        assert rep.a_pointwise and rep.dom_included
+        assert rep.a_pointwise
         assert rep.sup_dif == BOT
         assert rep.inf_dif == DTOP
 
