@@ -19,9 +19,12 @@ value conventions from blurring while sharing all the representation
 code.
 
 Dual elements are continuous linear functionals (``proper``) plus their
-inf-extensions (``hat``); a hat with slope a takes Bottom where
-a*x - r <= 0 and Top elsewhere, which makes it positively homogeneous
-but deliberately not additive.
+inf-extensions (``hat``).  The affine dual element xi_r is the pair
+(xi, r) of a ``DualElem`` and a finite offset, passed as two arguments
+(``affine_eval(xi, r, x)``); no class wraps it.  A proper xi_r is
+x -> a*x - r.  A hat takes Bottom where a*x - r <= 0 and Top elsewhere,
+which makes it positively homogeneous but deliberately not additive;
+(hat(t*a), t*r) is the same function for every t > 0.
 """
 
 from __future__ import annotations
@@ -505,18 +508,10 @@ def negate_fn(f):
 # ---------------------------------------------------------------------------
 
 
-def dom(f):
-    return f.dom()
-
-
 def epi_contains(f, x, r):
     """Whether (x, r) lies in the epigraph; r must be finite."""
     r = _require_finite(r, "r")
     return f.eval(x) <= UpReal(r)
-
-
-def is_convex(f):
-    return f.is_convex()
 
 
 def fn_allclose(f, g, tol=1e-9):
@@ -652,14 +647,10 @@ class DualElem:
     def is_hat(self):
         return self.kind == "hat"
 
-    def canonical(self):
-        if self.kind == "hat":
-            return DualElem("hat", float(_sign(self.a)))
-        return self
-
     def _key(self):
-        c = self.canonical()
-        return (c.kind, c.a)
+        if self.kind == "hat":
+            return ("hat", float(_sign(self.a)))
+        return ("proper", self.a)
 
     def __eq__(self, other):
         if not isinstance(other, DualElem):
@@ -718,59 +709,24 @@ def dual_scale(t, xi):
     return DualElem(xi.kind, t * xi.a)
 
 
-class AffineDual:
-    """A dual element with a real offset: the affine family member xi_r."""
-
-    __slots__ = ("xi", "r")
-
-    def __init__(self, xi, r):
-        if not isinstance(xi, DualElem):
-            raise TypeError("AffineDual needs a DualElem")
-        self.xi = xi
-        self.r = _require_finite(r, "offset")
-
-    def canonical_key(self):
-        """Key identifying the function x -> xi_r(x).
-
-        Proper: (a, r) as is.  Hat with a != 0: the test a*x - r <= 0
-        rescales to sign(a)*x - r/|a| <= 0.  Hat with a = 0 is constant:
-        Bottom everywhere if r >= 0 (canonically r = 0), Top everywhere
-        if r < 0 (canonically r = -1).
-        """
-        if not self.xi.is_hat:
-            return ("proper", self.xi.a, self.r)
-        a = self.xi.a
-        if a == 0:
-            return ("hat", 0.0, 0.0 if self.r >= 0 else -1.0)
-        return ("hat", float(_sign(a)), self.r / abs(a))
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineDual):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __repr__(self):
-        return f"AffineDual({self.xi!r}, r={self.r!r})"
-
-
-def affine_eval(xi_r, x):
-    """Value of the affine dual element at x, in the up space.
+def affine_eval(xi, r, x):
+    """Value of the affine dual element (xi, r) at x, in the up space.
 
     Proper: a*x - r.  Hat: Bottom where a*x - r <= 0, Top elsewhere
-    (the inf-extension of the affine function).
+    (the inf-extension of the affine function).  The offset r must be
+    finite.
     """
+    if not isinstance(xi, DualElem):
+        raise TypeError("affine_eval needs a DualElem")
+    r = _require_finite(r, "offset")
     x = _require_finite(x, "x")
-    a, r = xi_r.xi.a, xi_r.r
-    t = a * x - r
-    if xi_r.xi.is_hat:
+    t = xi.a * x - r
+    if xi.is_hat:
         return UpReal.bottom() if t <= 0 else UpReal.top()
     return UpReal(t)
 
 
-def _split_candidates(xi_r, x1, x2):
+def _split_candidates(xi, r, x1, x2):
     # Candidate offsets r1 for the split r = r1 + r2.  For proper elements
     # every split attains the value, so any candidate works.  For hats the
     # sup is Top iff the feasible r1-interval (where both factors land on
@@ -778,7 +734,9 @@ def _split_candidates(xi_r, x1, x2):
     # one side with width governed by the margin m = a*(x1+x2) - r, and
     # r1 = a*x1 - m/2 sits strictly inside it whenever m > 0.  So this
     # finite family always contains a maximizing split when one exists.
-    a, r = xi_r.xi.a, xi_r.r
+    if not isinstance(xi, DualElem):
+        raise TypeError("the split laws need a DualElem")
+    a = xi.a
     m = a * (x1 + x2) - r
     return [r / 2.0, a * x1 - m / 2.0, a * x1, 0.0]
 
@@ -793,11 +751,10 @@ def affine_split_sup(xi, r, x1, x2):
     compare the result with affine_eval at x1+x2.
     """
     x1, x2 = _require_finite(x1, "x1"), _require_finite(x2, "x2")
-    ad = AffineDual(xi, r)
     vals = []
-    for r1 in _split_candidates(ad, x1, x2):
-        e1 = affine_eval(AffineDual(xi, r1), x1)
-        e2 = affine_eval(AffineDual(xi, r - r1), x2)
+    for r1 in _split_candidates(xi, r, x1, x2):
+        e1 = affine_eval(xi, r1, x1)
+        e2 = affine_eval(xi, r - r1, x2)
         vals.append(as_up(ssum(as_down(e1), as_down(e2))))
     return sup_up(vals)
 
@@ -809,10 +766,9 @@ def affine_split_dif(xi, r, x1, x2):
     with affine_eval at x1-x2.
     """
     x1, x2 = _require_finite(x1, "x1"), _require_finite(x2, "x2")
-    ad = AffineDual(xi, r)
     vals = []
-    for r1 in _split_candidates(ad, x1, -x2):
-        e1 = affine_eval(AffineDual(xi, r1), x1)
-        e2 = affine_eval(AffineDual(xi, -(r - r1)), x2)
+    for r1 in _split_candidates(xi, r, x1, -x2):
+        e1 = affine_eval(xi, r1, x1)
+        e2 = affine_eval(xi, -(r - r1), x2)
         vals.append(idif(e1, e2))
     return sup_up(vals)

@@ -34,6 +34,9 @@ MODES = ("inf", "sup")
 # readable report instead of thousands of tuples.
 MAX_WITNESSES = 25
 
+# Draws random_groupoid makes before it gives up on a carrier size.
+MAX_TRIES = 400
+
 
 def _to_index(index, label, where):
     try:
@@ -358,7 +361,7 @@ class ScaledMonoid:
 # ---------------------------------------------------------------------------
 
 
-def random_groupoid(rng, size, max_tries=400):
+def random_groupoid(rng, size):
     """Generate a random valid FiniteOrderedGroupoid with the given carrier size.
 
     Strategy: draw a random commutative table and a random partial order,
@@ -380,7 +383,7 @@ def random_groupoid(rng, size, max_tries=400):
     if n < 1:
         raise ValueError("size must be >= 1")
     labels = [f"e{i}" for i in range(n)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         add, leq = _random_tables(rng, n)
         if n > 1 and not any(leq[i][j] for i in range(n) for j in range(n) if i != j):
             continue  # degenerate: order collapsed to equality

@@ -31,6 +31,7 @@ from .groupoid import MAX_WITNESSES
 
 X_GRID = np.arange(-8.0, 8.5, 0.5)
 SLOPE_GRID = np.arange(-5.0, 5.5, 0.5)
+BOUNDED_PROB = 0.4  # chance that a drawn PLProper's domain is bounded on a given side
 
 
 def random_ext_values(rng, n, inf_prob=0.25):
@@ -46,7 +47,7 @@ def random_ext_values(rng, n, inf_prob=0.25):
     return vals
 
 
-def random_pl(rng, convex=False, max_breaks=5, bounded_prob=0.4):
+def random_pl(rng, convex=False, max_breaks=5):
     """Random PLProper on dyadic data.
 
     Slopes are drawn without replacement, so adjacent segments never
@@ -55,8 +56,8 @@ def random_pl(rng, convex=False, max_breaks=5, bounded_prob=0.4):
     """
     k = int(rng.integers(1, max_breaks + 1))
     xs = np.sort(rng.choice(X_GRID, size=k, replace=False))
-    left_bounded = rng.random() < bounded_prob
-    right_bounded = rng.random() < bounded_prob
+    left_bounded = rng.random() < BOUNDED_PROB
+    right_bounded = rng.random() < BOUNDED_PROB
     n_slopes = (k - 1) + (0 if left_bounded else 1) + (0 if right_bounded else 1)
     slopes = list(rng.choice(SLOPE_GRID, size=max(n_slopes, 1), replace=False))
     if convex:
@@ -77,8 +78,8 @@ def random_pl(rng, convex=False, max_breaks=5, bounded_prob=0.4):
     )
 
 
-def random_convex_pl(rng, max_breaks=5, bounded_prob=0.4):
-    return random_pl(rng, convex=True, max_breaks=max_breaks, bounded_prob=bounded_prob)
+def random_convex_pl(rng, max_breaks=5):
+    return random_pl(rng, convex=True, max_breaks=max_breaks)
 
 
 def random_nonconvex_pl(rng, max_breaks=5):

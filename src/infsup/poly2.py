@@ -14,8 +14,11 @@ the vertices and their infinite ends give the recession rays.  A pair of
 opposite rows with touching lines makes the set flat (a segment, halfline
 or line), and rows that all touch at one point make it a point; both get
 a canonical row list of their own.  No linear programming and no vertex
-search is needed in the plane.  Tolerance is 1e-9 throughout on roughly
-unit-scale data.
+search is needed in the plane.  Construction works to ``TOL`` = 1e-9 on
+roughly unit-scale data.  Every set query (``contains``, ``is_subset``,
+``same_set``, ``validate``) uses the one looser ``QUERY_TOL`` = 1e-7,
+times 1 + |p| at a point or direction p, so that a vertex or ray that
+construction placed within rounding of a boundary still counts as inside.
 
 The algebra goes through support functions: ``minkowski`` adds them,
 h_{A+B} = h_A + h_B, and ``validate`` rebuilds the set from ``hs``.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 TOL = 1e-9
+QUERY_TOL = 1e-7
 INF = math.inf
 
 
@@ -220,10 +224,10 @@ class ConvexPoly2:
 
     # -- basic queries -------------------------------------------------------
 
-    def contains(self, p, tol=1e-7):
+    def contains(self, p):
         if self.empty:
             return False
-        s = tol * (1 + _norm(p))
+        s = QUERY_TOL * (1 + _norm(p))
         return all(_dot(n, p) <= c + s for n, c in self.hs)
 
     def support(self, d):
@@ -235,29 +239,29 @@ class ConvexPoly2:
             return INF
         return max(_dot(d, v) for v in self.verts)
 
-    def recession_contains(self, d, tol=TOL):
+    def recession_contains(self, d):
         if self.empty:
             return False
-        s = tol * (1 + _norm(d))
+        s = QUERY_TOL * (1 + _norm(d))
         return all(_dot(n, d) <= s for n, c in self.hs)
 
-    def is_subset(self, other, tol=1e-7):
+    def is_subset(self, other):
         if self.empty:
             return True
-        return all(other.contains(v, tol) for v in self.verts) and all(
-            other.recession_contains(r, tol) for r in self.rays
+        return all(other.contains(v) for v in self.verts) and all(
+            other.recession_contains(r) for r in self.rays
         )
 
-    def same_set(self, other, tol=1e-7):
-        return self.is_subset(other, tol) and other.is_subset(self, tol)
+    def same_set(self, other):
+        return self.is_subset(other) and other.is_subset(self)
 
-    def validate(self, tol=1e-7):
+    def validate(self):
         """Rebuild the set from ``hs`` alone; the rebuilt generators must be
-        ``verts`` and ``rays`` as point sets within ``tol``."""
+        ``verts`` and ``rays`` as point sets within ``QUERY_TOL``."""
         if self.empty:
             return self.hs == self.verts == self.rays == ()
         H = ConvexPoly2.from_halfplanes(self.hs)
-        return _same_points(self.verts, H.verts, tol) and _same_points(self.rays, H.rays, tol)
+        return _same_points(self.verts, H.verts) and _same_points(self.rays, H.rays)
 
     # -- algebra -------------------------------------------------------------
 
@@ -323,13 +327,13 @@ def _clean_rows(halfplanes):
     return out
 
 
-def _same_points(ps, qs, tol):
-    """Equal counts, and each point of either list within tol of one in the
-    other; the search for point i starts at index i, the usual match."""
+def _same_points(ps, qs):
+    """Equal counts, and each point of either list within QUERY_TOL of one in
+    the other; the search for point i starts at index i, the usual match."""
     k = len(ps)
 
-    def near(p, b, i):  # p is within tol of a point of b, searched from b[i] on
-        return any(_norm((p[0] - b[j % k][0], p[1] - b[j % k][1])) <= tol * (1 + _norm(p)) for j in range(i, i + k))
+    def near(p, b, i):  # p is within QUERY_TOL of a point of b, searched from b[i] on
+        return any(_norm((p[0] - b[j % k][0], p[1] - b[j % k][1])) <= QUERY_TOL * (1 + _norm(p)) for j in range(i, i + k))
 
     return len(qs) == k and all(near(ps[i], qs, i) and near(qs[i], ps, i) for i in range(k))
 

@@ -26,7 +26,6 @@ from infsup.extreal import UpReal, down, up
 from infsup.calculus import biconjugate, dirderiv, infconv, is_subgradient, subdiff_conjugate_check
 from infsup.functions import (
     COLLINEAR_TOL,
-    AffineDual,
     ConstBottom,
     ConstTop,
     DownFunction,
@@ -38,13 +37,11 @@ from infsup.functions import (
     affine_split_dif,
     affine_split_sup,
     closure_hull,
-    dom,
     dual_add,
     dual_scale,
     epi_contains,
     fn_allclose,
     improper_split,
-    is_convex,
     negate_fn,
     pl,
 )
@@ -356,11 +353,11 @@ def test_improper_split_factory_canonicalizes():
 
 
 def test_dom_variants():
-    assert dom(abs_fn()) == (-INF, INF)
-    assert dom(pl([(0.0, 0.0)], slope_right=1.0, dom_lo=0.0)) == (0.0, INF)
-    assert dom(improper_split(0.0, INF)) == (0.0, INF)
-    assert dom(ConstTop()) is None
-    assert dom(ConstBottom()) == (-INF, INF)
+    assert abs_fn().dom() == (-INF, INF)
+    assert pl([(0.0, 0.0)], slope_right=1.0, dom_lo=0.0).dom() == (0.0, INF)
+    assert improper_split(0.0, INF).dom() == (0.0, INF)
+    assert ConstTop().dom() is None
+    assert ConstBottom().dom() == (-INF, INF)
 
 
 def test_epi_contains_examples():
@@ -427,9 +424,9 @@ def definitional_convex(f, rng, n_random=16):
 
 
 def test_is_convex_examples():
-    assert is_convex(abs_fn())
-    assert is_convex(improper_split(-1.0, 1.0))
-    assert not is_convex(pl([(0.0, 0.0)], slope_left=1.0, slope_right=-1.0))
+    assert abs_fn().is_convex()
+    assert improper_split(-1.0, 1.0).is_convex()
+    assert not pl([(0.0, 0.0)], slope_left=1.0, slope_right=-1.0).is_convex()
 
 
 def test_convexity_structural_matches_definitional():
@@ -445,14 +442,14 @@ def test_convexity_structural_matches_definitional():
         abs_fn(),
     ]
     for f in fns:
-        assert is_convex(f) == definitional_convex(f, rng), repr(f)
+        assert f.is_convex() == definitional_convex(f, rng), repr(f)
 
 
 def test_nonconvex_generator_always_detected():
     rng = np.random.default_rng(99)
     for _ in range(25):
         f = random_nonconvex_pl(rng)
-        assert not is_convex(f)
+        assert not f.is_convex()
         assert not definitional_convex(f, rng)
 
 
@@ -771,62 +768,65 @@ def test_dual_elem_canonical_equality():
         DualElem.proper(INF)
 
 
-def test_affine_dual_canonical_keys_are_function_identity():
-    # pairs with equal keys must agree everywhere; pairs with different
-    # keys must differ somewhere on a grid that covers all thresholds
-    catalog = [
-        AffineDual(DualElem.proper(1.0), 0.0),
-        AffineDual(DualElem.proper(1.0), 1.0),
-        AffineDual(DualElem.proper(-2.0), 0.0),
-        AffineDual(DualElem.proper(0.0), 0.0),
-        AffineDual(DualElem.hat(1.0), 2.0),
-        AffineDual(DualElem.hat(2.0), 4.0),
-        AffineDual(DualElem.hat(-1.0), 1.0),
-        AffineDual(DualElem.hat(0.0), 3.0),
-        AffineDual(DualElem.hat(0.0), 0.0),
-        AffineDual(DualElem.hat(0.0), -1.0),
-        AffineDual(DualElem.hat(0.0), -5.0),
-    ]
+def test_affine_pairs_equal_as_functions():
+    # (hat(t*a), t*r) is the function (hat(a), r) for every t > 0, a hat
+    # of slope 0 is constant by the sign of r, and proper pairs that
+    # differ differ somewhere on a grid that covers every threshold
     grid = [k / 2.0 for k in range(-12, 13)]
-    for p in catalog:
-        for q in catalog:
-            same_fn = all(affine_eval(p, x) == affine_eval(q, x) for x in grid)
-            assert (p == q) == same_fn, (p, q)
+
+    def values(xi, r):
+        return [affine_eval(xi, r, x) for x in grid]
+
+    for a in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0):
+        for r in (-5.0, -1.0, 0.0, 1.5, 4.0):
+            for t in (0.25, 0.5, 2.0, 3.0, 8.0):
+                assert values(DualElem.hat(t * a), t * r) == values(DualElem.hat(a), r), (a, r, t)
+    for r in (-5.0, -1.0, 0.0, 3.0):
+        assert set(values(DualElem.hat(0.0), r)) == {BOT if r >= 0 else TOP}
+    pairs = [(a, r) for a in (-2.0, 0.0, 1.0) for r in (-1.0, 0.0, 1.0)]
+    for p in pairs:
+        for q in pairs:
+            if p != q:
+                assert values(DualElem.proper(p[0]), p[1]) != values(DualElem.proper(q[0]), q[1]), (p, q)
+
+
+def test_affine_eval_rejects_bad_input():
     with pytest.raises(TypeError):
-        AffineDual(1.0, 0.0)
+        affine_eval(1.0, 0.0, 0.0)
+    for bad in (INF, -INF, math.nan):
+        with pytest.raises(ValueError):
+            affine_eval(DualElem.proper(1.0), bad, 0.0)
     with pytest.raises(ValueError):
-        AffineDual(DualElem.proper(1.0), INF)
+        affine_eval(DualElem.hat(1.0), 0.0, INF)
 
 
 def test_affine_eval_examples():
-    assert affine_eval(AffineDual(DualElem.hat(1.0), 0.0), -1.0) == BOT
-    assert affine_eval(AffineDual(DualElem.hat(1.0), 0.0), 0.0) == BOT  # boundary
-    assert affine_eval(AffineDual(DualElem.hat(1.0), 0.0), 1.0) == TOP
-    assert affine_eval(AffineDual(DualElem.proper(2.0), 1.0), 3.0) == up(5.0)
-    assert affine_eval(AffineDual(DualElem.hat(-2.0), 1.0), -0.5) == BOT
-    assert affine_eval(AffineDual(DualElem.hat(-2.0), 1.0), -1.0) == TOP
+    assert affine_eval(DualElem.hat(1.0), 0.0, -1.0) == BOT
+    assert affine_eval(DualElem.hat(1.0), 0.0, 0.0) == BOT  # boundary
+    assert affine_eval(DualElem.hat(1.0), 0.0, 1.0) == TOP
+    assert affine_eval(DualElem.proper(2.0), 1.0, 3.0) == up(5.0)
+    assert affine_eval(DualElem.hat(-2.0), 1.0, -0.5) == BOT
+    assert affine_eval(DualElem.hat(-2.0), 1.0, -1.0) == TOP
 
 
 def test_hat_positive_homogeneity_excluding_zero():
     xs = [k / 2.0 for k in range(-8, 9)]
     for a in (-2.0, 1.0, 0.0):
-        xi0 = AffineDual(DualElem.hat(a), 0.0)
+        xi = DualElem.hat(a)
         for t in (0.25, 0.5, 1.0, 2.0, 4.0):
             for x in xs:
-                assert affine_eval(xi0, t * x) == xr.scale(t, affine_eval(xi0, x))
+                assert affine_eval(xi, 0.0, t * x) == xr.scale(t, affine_eval(xi, 0.0, x))
     # t = 0 fails: 0 * Top is finite 0, but the hat at the origin is Bottom
-    xi0 = AffineDual(DualElem.hat(1.0), 0.0)
-    assert xr.scale(0.0, affine_eval(xi0, 1.0)) == up(0.0)
-    assert affine_eval(xi0, 0.0) == BOT
+    xi = DualElem.hat(1.0)
+    assert xr.scale(0.0, affine_eval(xi, 0.0, 1.0)) == up(0.0)
+    assert affine_eval(xi, 0.0, 0.0) == BOT
 
 
 def test_hat_sub_and_superadditive_but_not_additive():
     # valid laws: hat(x+y) <= hat(x) up-plus hat(y), and hat(x+y) >=
     # hat(x) down-plus hat(y); additivity itself fails at x = -y != 0
-    xi0 = AffineDual(DualElem.hat(1.0), 0.0)
-
     def val(x):
-        return affine_eval(xi0, x)
+        return affine_eval(DualElem.hat(1.0), 0.0, x)
 
     pts = [k / 2.0 for k in range(-6, 7)]
     for x in pts:
@@ -858,13 +858,13 @@ def test_split_dif_frozen_examples():
 @given(kind=st.sampled_from(["proper", "hat"]), a=dyadic, r=dyadic, x1=dyadic, x2=dyadic)
 def test_split_sup_matches_direct_eval(kind, a, r, x1, x2):
     xi = DualElem(kind, a)
-    assert affine_split_sup(xi, r, x1, x2) == affine_eval(AffineDual(xi, r), x1 + x2)
+    assert affine_split_sup(xi, r, x1, x2) == affine_eval(xi, r, x1 + x2)
 
 
 @given(kind=st.sampled_from(["proper", "hat"]), a=dyadic, r=dyadic, x1=dyadic, x2=dyadic)
 def test_split_dif_matches_direct_eval(kind, a, r, x1, x2):
     xi = DualElem(kind, a)
-    assert affine_split_dif(xi, r, x1, x2) == affine_eval(AffineDual(xi, r), x1 - x2)
+    assert affine_split_dif(xi, r, x1, x2) == affine_eval(xi, r, x1 - x2)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +879,7 @@ def test_mixed_addition_pathology():
     # gaps, making both the epigraph and the hypograph non-convex.
     f = improper_split(2.0, INF)
     g = improper_split(-1.0, 1.0)
-    assert is_convex(f) and is_convex(g)
+    assert f.is_convex() and g.is_convex()
 
     def up_combo(x):
         return xr.isum(f.eval(x), g.eval(x))
@@ -943,8 +943,6 @@ def _stored_bits(f):
         return ("mirror", type(f.mirror).__name__, _stored_bits(f.mirror))
     if isinstance(f, PLProper):
         return ([*map(h, f.xs)], [*map(h, f.vs)], h(f.slope_left), h(f.slope_right), h(f.dom_lo), h(f.dom_hi))
-    if isinstance(f, AffineDual):
-        return (_stored_bits(f.xi), h(f.r))
     if isinstance(f, DualElem):
         return (f.kind, h(f.a))
     return (h(f.lo), h(f.hi))
@@ -970,9 +968,8 @@ def test_repr_evaluates_back_bit_for_bit():
         ConstTop(),
         ConstBottom(),
     ]
-    for a, r in rng.standard_normal((10, 2)):
-        objs += [DualElem.proper(a), DualElem.hat(a), AffineDual(DualElem.hat(a), r)]
-    objs.append(AffineDual(DualElem.proper(-0.1), r=-0.0))
+    for a, _ in rng.standard_normal((10, 2)):
+        objs += [DualElem.proper(a), DualElem.hat(a)]
     objs += [negate_fn(f) for f in objs if isinstance(f, (PLProper, ImproperSplit))]
     for f in objs:
         g = eval(repr(f), vars(functions))
