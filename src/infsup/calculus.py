@@ -62,7 +62,6 @@ from .functions import (
     UpFunction,
     _lower_hull,
     _require_finite,
-    _sign,
     affine_eval,
     improper_split,
 )
@@ -135,9 +134,10 @@ class SubdiffDescription:
 
     ``proper`` is the closed interval of classical subgradient slopes as
     an (lo, hi) pair with infinite ends allowed, or None when empty.
-    ``improper`` holds the canonical hat slopes (each in {-1, 0, +1});
-    the constant-Bottom element, canonical slope 0, belongs to every
-    extended subdifferential, so 0.0 is always in ``improper``.
+    ``improper`` holds the hat slopes in {-1, 0, +1}, which stand for all
+    hats: hat membership is positively homogeneous.  The constant-Bottom
+    element, slope 0, belongs to every extended subdifferential, so 0.0
+    is always in ``improper``.
     """
 
     proper: tuple | None
@@ -151,7 +151,7 @@ class SubdiffDescription:
         return self.proper is not None and self.proper[0] <= a <= self.proper[1]
 
     def hat_contains(self, a):
-        return float(_sign(a)) in self.improper
+        return float((a > 0) - (a < 0)) in self.improper
 
     def contains(self, xi):
         if not isinstance(xi, DualElem):
@@ -170,9 +170,12 @@ def subdiff_extended(g, x0):
     anchored at x0 covers the whole domain.  At a finite point the
     proper part is the interval between the one-sided slopes (opening
     to infinity at a bounded domain end), with the same halfline rule
-    for the hats.
+    for the hats.  A non-convex g is rejected, as in :func:`dirderiv`:
+    its one-sided slopes do not bound its subgradients.
     """
     x0 = _require_finite(x0, "x0")
+    if not g.is_convex():
+        raise ValueError("subdifferential requires a convex function")
     v0 = g.eval(x0)
     if v0.is_top:
         return SubdiffDescription(proper=None, improper=frozenset({0.0}))
@@ -481,14 +484,14 @@ def _epigraph_sum(f, g):
 def infconv(f, g):
     """Infimal convolution inf over splits x1 + x2 = x of f(x1) up-plus g(x2).
 
-    ConstTop absorbs (an empty operand empties the result); otherwise a
-    Bottom value anywhere drags the whole result to Bottom through the
-    unbounded splits.  A never-finite operand turns the result into the
-    indicator-like split over the Minkowski sum of the domains.  Two
-    proper piecewise-linear operands convolve exactly through their
-    epigraphs: the epigraph of the result is epi f + epi g, whose graph
-    merges the two edge lists by slope in O(k_f + k_g) steps, and which
-    is Bottom everywhere when no line lies below both operands' rays.
+    ConstTop absorbs (an empty operand empties the result).  Otherwise
+    a never-finite operand makes the result Bottom on dom f + dom g and
+    Top off it: a Bottom value at x1 reaches every x1 + x2 with x2 in
+    the other domain, and no further.  Two proper piecewise-linear
+    operands convolve exactly through their epigraphs: the epigraph of
+    the result is epi f + epi g, whose graph merges the two edge lists
+    by slope in O(k_f + k_g) steps, and which is Bottom everywhere when
+    no line lies below both operands' rays.
     """
     for h in (f, g):
         if not isinstance(h, UpFunction):
@@ -606,11 +609,10 @@ def subdiff_conjugate_check(g, x0):
     to the same :func:`_support` comparison, so a hat row could never
     disagree; hat membership is checked against the definition by the
     grid tests instead.  Outside the domain the description must
-    collapse to the constant Bottom element alone.
+    collapse to the constant Bottom element alone.  A row is
+    (``"proper:" + repr(a)``, via subdifferential, via conjugate).
     """
     x0 = _require_finite(x0, "x0")
-    if not g.is_convex():
-        raise ValueError("subdifferential characterization requires a convex function")
     sd = subdiff_extended(g, x0)
     v0 = g.eval(x0)
     if v0.is_top:
@@ -621,6 +623,6 @@ def subdiff_conjugate_check(g, x0):
     for a in _probe_slopes(g):
         via_sd = sd.proper_contains(a)
         lhs = isum(idif(curve.eval(a), UpReal(a * x0)), v0)
-        rows.append((f"proper:{a:g}", via_sd, lhs <= UpReal(0.0)))
+        rows.append((f"proper:{a!r}", via_sd, lhs <= UpReal(0.0)))
     agree = all(b == c for _, b, c in rows)
     return SubdiffConjReport(x0_in_dom=True, probes=tuple(rows), agree=agree)

@@ -24,7 +24,9 @@ inf-extensions (``hat``).  The affine dual element xi_r is the pair
 (``affine_eval(xi, r, x)``); no class wraps it.  A proper xi_r is
 x -> a*x - r.  A hat takes Bottom where a*x - r <= 0 and Top elsewhere,
 which makes it positively homogeneous but deliberately not additive;
-(hat(t*a), t*r) is the same function for every t > 0.
+(hat(t*a), t*r) is the same function for every t > 0.  A ``DualElem``
+is its functional and compares by (kind, slope), so ``dual_add`` and
+``dual_scale`` act on elements, not on classes of them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .extreal import (
     idif,
     negate_up,
     ssum,
-    sup_up,
 )
 
 INF = math.inf
@@ -622,9 +623,12 @@ def closure_hull(f):
 class DualElem:
     """A proper linear functional x -> a*x, or the hat (inf-extension) of one.
 
-    Hats with positively proportional slopes are the same function, so
-    equality and hashing go through a canonical slope in {-1, 0, +1}
-    for hats.  Proper elements keep their slope as identity.
+    The element is its functional: equality and hashing are the pair
+    (kind, a).  Hats of positively proportional slopes are different
+    elements, because every consumer reads the slope together with an
+    offset: (hat(a), r) is Bottom where a*x - r <= 0, so hat(2) and
+    hat(1) at the same offset r = 1 split the line at 1/2 and 1.  Only
+    the pairs (hat(t*a), t*r), t > 0, coincide as functions.
     """
 
     __slots__ = ("kind", "a")
@@ -647,38 +651,27 @@ class DualElem:
     def is_hat(self):
         return self.kind == "hat"
 
-    def _key(self):
-        if self.kind == "hat":
-            return ("hat", float(_sign(self.a)))
-        return ("proper", self.a)
-
     def __eq__(self, other):
         if not isinstance(other, DualElem):
             return NotImplemented
-        return self._key() == other._key()
+        return self.kind == other.kind and self.a == other.a
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.kind, self.a))
 
     def __repr__(self):
         return f"DualElem.{self.kind}({self.a!r})"
 
 
-def _sign(a):
-    return (a > 0) - (a < 0)
-
-
 def dual_add(xi, eta):
     """Addition on the inf-dual: hats absorb proper elements.
 
-    hat + hat is the hat of the summed underlying slopes; hat + proper
-    is the hat unchanged; proper + proper adds slopes.
-
-    Known defect: summing raw slopes makes hat + hat depend on the
-    representative, not on the ``==`` class.  ``hat(2) == hat(1)``, yet
-    ``hat(2) + hat(-1)`` is ``hat(1)`` while ``hat(1) + hat(-1)`` is
-    ``hat(0)``.  For hats of opposite sign it is not the pointwise
-    ``isum`` either: that sum is Bottom only at 0, not everywhere.
+    hat + hat is the hat of the summed slopes; hat + proper is the hat
+    unchanged; proper + proper adds slopes.  It adds the functionals, so
+    it is well defined on elements, and it is not the pointwise ``isum``
+    of their values: hat(1) + hat(-1) is hat(0), Bottom everywhere at
+    offset 0, while the pointwise up-sum of the two hats at offset 0 is
+    Bottom only at x = 0.
     """
     if not isinstance(xi, DualElem) or not isinstance(eta, DualElem):
         raise TypeError("dual_add expects DualElem arguments")
@@ -726,49 +719,39 @@ def affine_eval(xi, r, x):
     return UpReal(t)
 
 
-def _split_candidates(xi, r, x1, x2):
-    # Candidate offsets r1 for the split r = r1 + r2.  For proper elements
-    # every split attains the value, so any candidate works.  For hats the
-    # sup is Top iff the feasible r1-interval (where both factors land on
-    # the favorable side) is nonempty; that interval is bounded by a*x1 on
-    # one side with width governed by the margin m = a*(x1+x2) - r, and
-    # r1 = a*x1 - m/2 sits strictly inside it whenever m > 0.  So this
-    # finite family always contains a maximizing split when one exists.
+def _witness_split(xi, r, x1, x2):
+    # The one offset r1 of the split r = r1 + r2 that decides the sup over
+    # all splits of xi_r1(x1) and xi_r2(x2).  For a proper xi every split
+    # gives the same value.  For a hat both factors are Top iff
+    # r - a*x2 < r1 < a*x1, an interval that is nonempty iff the margin
+    # m = a*(x1 + x2) - r is positive; r1 = a*x1 - m/2 is its midpoint,
+    # where each factor keeps margin m/2.
     if not isinstance(xi, DualElem):
         raise TypeError("the split laws need a DualElem")
-    a = xi.a
-    m = a * (x1 + x2) - r
-    return [r / 2.0, a * x1 - m / 2.0, a * x1, 0.0]
+    return xi.a * x1 - (xi.a * (x1 + x2) - r) / 2.0
 
 
 def affine_split_sup(xi, r, x1, x2):
     """Supremum over splits r1+r2=r of xi_r1(x1) down-plus xi_r2(x2).
 
-    Finitely many candidate splits suffice: for proper xi every split
-    gives the same finite value, and for hats the sup is Top exactly
-    when some split puts both factors at Top, which (by the margin
-    argument) happens iff it happens at the candidate split.  Callers
-    compare the result with affine_eval at x1+x2.
+    One split attains it: for proper xi every split gives the same
+    finite value, and for hats the sup is Top exactly when some split
+    puts both factors at Top, which (by the margin argument) happens iff
+    it happens at the witness split.  Callers compare the result with
+    affine_eval at x1+x2.
     """
     x1, x2 = _require_finite(x1, "x1"), _require_finite(x2, "x2")
-    vals = []
-    for r1 in _split_candidates(xi, r, x1, x2):
-        e1 = affine_eval(xi, r1, x1)
-        e2 = affine_eval(xi, r - r1, x2)
-        vals.append(as_up(ssum(as_down(e1), as_down(e2))))
-    return sup_up(vals)
+    r1 = _witness_split(xi, r, x1, x2)
+    return as_up(ssum(as_down(affine_eval(xi, r1, x1)), as_down(affine_eval(xi, r - r1, x2))))
 
 
 def affine_split_dif(xi, r, x1, x2):
     """Supremum over splits r1+r2=r of xi_r1(x1) up-minus xi_{-r2}(x2).
 
-    The difference-form companion of affine_split_sup; callers compare
-    with affine_eval at x1-x2.
+    The difference-form companion of affine_split_sup, attained at the
+    witness split for x1 and -x2; callers compare with affine_eval at
+    x1-x2.
     """
     x1, x2 = _require_finite(x1, "x1"), _require_finite(x2, "x2")
-    vals = []
-    for r1 in _split_candidates(xi, r, x1, -x2):
-        e1 = affine_eval(xi, r1, x1)
-        e2 = affine_eval(xi, -(r - r1), x2)
-        vals.append(idif(e1, e2))
-    return sup_up(vals)
+    r1 = _witness_split(xi, r, x1, -x2)
+    return idif(affine_eval(xi, r1, x1), affine_eval(xi, -(r - r1), x2))

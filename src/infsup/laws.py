@@ -129,8 +129,10 @@ def check_conlinear(elems, add, scale, probes):
 
     ``add(x, y)`` and ``scale(t, x)`` are the space's operations and
     ``probes`` the scalars t >= 0 tried; elements are compared with ``==``.
-    C1: ``add`` is commutative and associative and has a neutral element θ
-    in ``elems``.  C2-i: t(x + y) = tx + ty.  C2-ii: s(rx) = (rs)x when rs
+    C0-congruence: x == x' implies x + y == x' + y and tx == tx', so the
+    axioms below speak of elements, not of representatives.  C1: ``add``
+    is commutative and associative and has a neutral element θ in
+    ``elems``.  C2-i: t(x + y) = tx + ty.  C2-ii: s(rx) = (rs)x when rs
     is a probe.  C2-iii: 1x = x.  C2-iv: 0θ = θ.  Each axiom lists at most
     ``MAX_WITNESSES`` witnesses.  The convex elements, those with
     (s + t)x = sx + tx whenever s + t is a probe, are listed too.
@@ -150,6 +152,15 @@ def check_conlinear(elems, add, scale, probes):
     def note(axiom, *witness):
         if sum(a == axiom for a, _ in violations) < MAX_WITNESSES:
             violations.append((axiom, witness))
+
+    for x, x2 in pairs:
+        if x is not x2 and x == x2:
+            for y in elems:
+                if add(x, y) != add(x2, y):
+                    note("C0-congruence", x, x2, y)
+            for t in probes:
+                if scale(t, x) != scale(t, x2):
+                    note("C0-congruence", t, x, x2)
 
     for x, y in pairs:
         xy = add(x, y)

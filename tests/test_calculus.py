@@ -48,6 +48,7 @@ from infsup.calculus import (
     _pl_legendre,
     _sup_linear_minus,
     MinorantReport,
+    SubdiffDescription,
     biconjugate,
     conjugate,
     conjugate_curve,
@@ -385,6 +386,25 @@ class TestSubdiff:
         sd = subdiff_extended(ConstBottom(), 1.0)
         assert sd.proper is None
         assert sd.improper == frozenset({0.0})
+
+    def test_nonconvex_rejected(self):
+        # read off the one-sided slopes, g would have 0 as a subgradient at
+        # -1, yet g(2) = -3 < g(-1) = 0
+        g = pl([(-1, 0), (0, 1), (2, -3)], slope_left=-1, slope_right=1)
+        assert g.eval(2.0) < g.eval(-1.0)
+        for query in (subdiff_extended, subdiff_conjugate_check):
+            with pytest.raises(ValueError, match="convex"):
+                query(g, -1.0)
+        with pytest.raises(ValueError, match="convex"):
+            is_subgradient(g, -1.0, DualElem.hat(1.0))
+
+    def test_description_rejections(self):
+        with pytest.raises(ValueError, match="constant Bottom"):
+            SubdiffDescription(proper=(0.0, 1.0), improper=frozenset({1.0}))
+        with pytest.raises(TypeError):
+            subdiff_extended(abs_fn(), 0.0).contains(1.0)
+        with pytest.raises(TypeError):
+            is_subgradient(abs_fn(), 0.0, 1.0)
 
     def test_three_routes_agree(self):
         # interval/endpoint description vs conjugate-style closed form
@@ -1024,6 +1044,23 @@ class TestBiconjugate:
         assert fn_allclose(out, improper_split(0.0, 5.0), 0.0)
 
 
+def test_entry_points_reject_foreign_arguments():
+    g, xi = abs_fn(), DualElem.proper(1.0)
+    for t in (0.0, -1.0, INF, math.nan):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            diff_quotient(g, 0.0, 1.0, t)
+    with pytest.raises(TypeError, match="expects a DualElem"):
+        conjugate(g, 1.0, 0.0)
+    with pytest.raises(TypeError, match="not an up-space function"):
+        conjugate(negate_fn(g), xi, 0.0)
+    with pytest.raises(TypeError, match="not an up-space function"):
+        conjugate_curve(negate_fn(g))
+    with pytest.raises(TypeError, match="up-space functions"):
+        infconv(g, negate_fn(g))
+    with pytest.raises(TypeError, match="expects a DualElem"):
+        infconv_conjugate_check(g, g, 1.0, 0.0)
+
+
 def test_outputs_name_their_improper_case():
     # readers that dispatch on the class name (bench/oracles.py does)
     # need ConstTop to be the only empty function and ConstBottom the
@@ -1162,7 +1199,7 @@ class TestSubdiffConjugate:
         rep = subdiff_conjugate_check(abs_fn(), 0.0)
         assert rep.x0_in_dom and rep.agree
         rows = dict((label, (u, v)) for label, u, v in rep.probes)
-        assert rows["proper:1"] == (True, True)
+        assert rows["proper:1.0"] == (True, True)
         assert rows["proper:1.5"] == (False, False)
         assert all(label.startswith("proper:") for label in rows)
 
@@ -1171,12 +1208,20 @@ class TestSubdiffConjugate:
         assert rep.agree
         rows = dict((label, (u, v)) for label, u, v in rep.probes)
         assert all(label.startswith("proper:") for label in rows)
-        assert rows["proper:0"] == (False, False)
+        assert rows["proper:0.0"] == (False, False)
 
     def test_outside_domain(self):
         rep = subdiff_conjugate_check(improper_split(0.0, INF), -2.0)
         assert not rep.x0_in_dom
         assert rep.agree
+
+    def test_labels_read_back_as_slopes(self):
+        # six significant digits would give these 8 probes 6 labels
+        g = pl([(0, 0), (1, 1.0000001)], slope_left=-1, slope_right=1.0000003)
+        rep = subdiff_conjugate_check(g, 1.0)
+        labels = [label for label, _, _ in rep.probes]
+        assert len(labels) == len(set(labels)) == 8
+        assert [float(label[7:]) for label in labels] == calculus._probe_slopes(g)
 
     def test_randomized_agreement(self):
         for g in convex_corpus(1205, 45):

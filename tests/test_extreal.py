@@ -239,6 +239,24 @@ def test_scale_conventions():
         scale(-1, up(3))
     with pytest.raises(ValueError):
         scale(math.nan, up(3))
+    with pytest.raises(TypeError, match="scale expects"):
+        scale(2, 3.0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale factor"):
+            scale_arr(t, np.array([1.0, -np.inf]))
+
+
+def test_strict_order_within_a_space():
+    for cls in (UpReal, DownReal):
+        chain = [cls.bottom(), cls(-1.5), cls(0.0), cls(2.0), cls.top()]
+        for i, p in enumerate(chain):
+            for j, q in enumerate(chain):
+                assert (p < q) == (i < j) and (p > q) == (i > j), (p, q)
+    for p, q in ((up(1), down(2)), (down(1), up(2))):
+        with pytest.raises(TypeError):
+            p < q
+        with pytest.raises(TypeError):
+            p > q
 
 
 def test_nan_values_rejected():

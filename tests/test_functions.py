@@ -301,6 +301,11 @@ def test_one_sided_slopes_match_segment_slopes():
 
 
 def test_constructor_rejects_bad_data():
+    for xs, vs in (([], []), ([0.0, 1.0], [0.0])):
+        with pytest.raises(ValueError, match="equally many"):
+            PLProper(xs, vs, slope_left=0.0, slope_right=0.0)
+    with pytest.raises(ValueError, match="needs slope_right"):
+        PLProper([0.0], [1.0], slope_left=0.0)
     with pytest.raises(ValueError):
         PLProper([0.0, 0.0], [1.0, 2.0], slope_left=0.0, slope_right=0.0)
     with pytest.raises(ValueError, match="needs slope_left"):
@@ -341,10 +346,18 @@ def test_improper_split_factory_canonicalizes():
     assert isinstance(improper_split(-INF, INF), ConstBottom)
     assert type(improper_split(2.0, 2.0)) is ImproperSplit
     assert isinstance(improper_split(INF, INF), ConstTop)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty interval"):
         ImproperSplit(3.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="full-line"):
         ImproperSplit(-INF, INF)
+    for lo, hi in ((INF, INF), (-INF, -INF)):
+        with pytest.raises(ValueError, match="degenerate interval"):
+            ImproperSplit(lo, hi)
+    for make in (ImproperSplit, improper_split):
+        with pytest.raises(ValueError, match="NaN"):
+            make(math.nan, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            make(0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +749,21 @@ def test_dual_add_table():
     assert dual_add(DualElem.proper(5.0), DualElem.hat(1.0)) == DualElem.hat(1.0)
     two = dual_add(DualElem.hat(1.0), DualElem.hat(1.0))
     assert two == DualElem.hat(2.0)
-    assert two == DualElem.hat(1.0)  # canonical: positively proportional hats coincide
+    assert two != DualElem.hat(1.0)  # an element is its slope, not the slope's sign
     assert dual_add(DualElem.hat(-1.0), DualElem.hat(1.0)) == DualElem.hat(0.0)
+    # it adds functionals, not values: hat(0) at offset 0 is Bottom
+    # everywhere, the pointwise up-sum of hat(1) and hat(-1) only at 0
+    xs = [k / 2.0 for k in range(-6, 7)]
+    assert {affine_eval(DualElem.hat(0.0), 0.0, x) for x in xs} == {BOT}
+    pointwise = [xr.isum(affine_eval(DualElem.hat(1.0), 0.0, x), affine_eval(DualElem.hat(-1.0), 0.0, x)) for x in xs]
+    assert [x for x, v in zip(xs, pointwise) if v == BOT] == [0.0]
     with pytest.raises(TypeError):
         dual_add(DualElem.hat(1.0), 3.0)
 
 
 def test_dual_scale():
     assert dual_scale(2.0, DualElem.proper(3.0)) == DualElem.proper(6.0)
-    assert dual_scale(2.0, DualElem.hat(3.0)) == DualElem.hat(3.0)
+    assert dual_scale(2.0, DualElem.hat(3.0)) == DualElem.hat(6.0)
     assert dual_scale(0.0, DualElem.hat(3.0)) == DualElem.proper(0.0)
     assert dual_scale(0.0, DualElem.proper(-2.0)) == DualElem.proper(0.0)
     with pytest.raises(ValueError):
@@ -755,11 +774,15 @@ def test_dual_scale():
         dual_scale(2.0, 3.0)
 
 
-def test_dual_elem_canonical_equality():
-    assert DualElem.hat(2.0) == DualElem.hat(7.0)
-    assert hash(DualElem.hat(2.0)) == hash(DualElem.hat(7.0))
-    assert DualElem.hat(-3.0) == DualElem.hat(-0.5)
+def test_dual_elem_equality_is_kind_and_slope():
+    assert DualElem.hat(2.0) != DualElem.hat(1.0)
+    assert DualElem.hat(-3.0) != DualElem.hat(-0.5)
     assert DualElem.hat(1.0) != DualElem.hat(-1.0)
+    assert DualElem.hat(2.0) == DualElem.hat(2.0)
+    assert hash(DualElem.hat(2.0)) == hash(DualElem.hat(2.0))
+    assert DualElem.hat(-0.0) == DualElem.hat(0.0)
+    assert hash(DualElem.proper(-0.0)) == hash(DualElem.proper(0.0))
+    assert len({DualElem.hat(1.0), DualElem.hat(2.0), DualElem.hat(2.0)}) == 2
     assert DualElem.proper(2.0) != DualElem.proper(3.0)
     assert DualElem.hat(0.0) != DualElem.proper(0.0)
     with pytest.raises(ValueError):
@@ -865,6 +888,43 @@ def test_split_sup_matches_direct_eval(kind, a, r, x1, x2):
 def test_split_dif_matches_direct_eval(kind, a, r, x1, x2):
     xi = DualElem(kind, a)
     assert affine_split_dif(xi, r, x1, x2) == affine_eval(xi, r, x1 - x2)
+
+
+def test_split_laws_equal_a_brute_force_max_over_splits():
+    # Draws are quarters in [-4, 4], so each end of a feasible r1-interval
+    # (a*x1, r - a*x2 or r + a*x2) is a multiple of 1/16 within [-20, 20].
+    # A nonempty interval between two such ends is at least 1/16 wide, and
+    # the grid of multiples of 1/32 hits its inside: (2p + 1)/32 lies
+    # strictly between p/16 and (p + 1)/16.  Every value below is exact.
+    rng = np.random.default_rng(29)
+    r1 = np.arange(-640, 641) / 32.0
+
+    def factor(xi, offsets, x):
+        t = xi.a * x - offsets
+        return np.where(t <= 0, -INF, INF) if xi.is_hat else t
+
+    tops = 0
+    for a, r, x1, x2 in rng.integers(-16, 17, size=(300, 4)) / 4.0:
+        for xi in (DualElem.proper(a), DualElem.hat(a)):
+            sup = xr.ssum_arr(factor(xi, r1, x1), factor(xi, r - r1, x2)).max()
+            dif = xr.idif_arr(factor(xi, r1, x1), factor(xi, -(r - r1), x2)).max()
+            assert affine_split_sup(xi, r, x1, x2).value == sup, (xi, r, x1, x2)
+            assert affine_split_dif(xi, r, x1, x2).value == dif, (xi, r, x1, x2)
+            tops += xi.is_hat and sup == INF
+    assert 100 < tops < 500  # both answers occur for hats
+
+
+def test_function_readers_reject_non_functions():
+    with pytest.raises(TypeError, match="not an up-space function"):
+        fn_allclose(3.0, abs_fn())
+    with pytest.raises(TypeError, match="not an up-space function"):
+        closure_hull(3.0)
+
+
+def test_split_laws_reject_a_non_dual():
+    for law in (affine_split_sup, affine_split_dif):
+        with pytest.raises(TypeError, match="need a DualElem"):
+            law(2.0, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

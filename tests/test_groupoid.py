@@ -148,6 +148,24 @@ def test_construction_rejects_bad_tables():
         )
 
 
+def test_structures_reject_bad_shapes():
+    with pytest.raises(ValueError, match="leq matrix"):
+        FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="leq matrix"):
+        FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1], [0, 0, 1]])
+    with pytest.raises(ValueError, match="negative"):
+        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "-1/2": CHAIN})
+    with pytest.raises(ValueError, match="must list 3 images"):
+        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "2": [B, Z]})
+    S = ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "1/2": CHAIN})
+    assert S.times(0.5, T) == T
+    with pytest.raises(ValueError, match="not a probe scalar"):
+        S.times(2, Z)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="size must be"):
+            random_groupoid(np.random.default_rng(0), size)
+
+
 def test_condition_arguments_validated():
     with pytest.raises(ValueError):
         check_condition(up3(), "E", "inf")

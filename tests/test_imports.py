@@ -1,9 +1,14 @@
-"""Every module of the package uses each name it imports.
+"""Source scans of the package, read with the standard library's ``ast``.
 
-A removal that leaves its import behind keeps the removed concept in the
-module's namespace, so this scan fails on it.  It reads the source with
-the standard library's ``ast``: a name counts as used when it appears
-as an identifier anywhere in the module.
+Every module uses each name it imports.  A removal that leaves its
+import behind keeps the removed concept in the module's namespace, so
+this scan fails on it; a name counts as used when it appears as an
+identifier anywhere in the module.
+
+No module holds an ``assert`` statement or reads ``__debug__``.
+``python -O`` strips both, so a library check resting on either would
+vanish there; the scan proves their absence for every line, reached by
+a test or not.
 """
 
 import ast
@@ -36,3 +41,23 @@ def test_package_modules_use_every_import():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+def debug_only_lines(source):
+    """Line numbers of the ``assert`` statements and ``__debug__`` reads in a module's source."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Assert) or (isinstance(n, ast.Name) and n.id == "__debug__")
+    )
+
+
+def test_scan_finds_debug_only_checks():
+    src = "x = 1\nassert x, 'gone under -O'\nif __debug__:\n    y = 2\nz = 'assert'  # assert\n"
+    assert debug_only_lines(src) == [2, 3]
+    assert debug_only_lines("def f(x):\n    if x < 0:\n        raise ValueError(x)\n") == []
+
+
+def test_package_has_no_debug_only_checks():
+    found = {p.name: debug_only_lines(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from infsup import extreal as xr
-from infsup.functions import DualElem, dual_add, dual_scale
+from infsup.calculus import conjugate
+from infsup.functions import DualElem, affine_eval, dual_add, dual_scale, improper_split, pl
 from infsup.groupoid import ScaledMonoid
-from infsup.laws import check_conlinear
+from infsup.laws import check_conlinear, random_closed_convex_fn
 
 PROBES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 
@@ -60,6 +61,72 @@ def test_every_image_space_is_conlinear(space):
     for probes in (PROBES[1:], [t for t in PROBES if t != 1]):
         with pytest.raises(ValueError, match="0 and 1"):
             check_conlinear(elems, add, scale, probes)
+
+
+class _BySign:
+    """A DualElem under a coarser equality: a hat compares by the sign of its slope."""
+
+    def __init__(self, xi):
+        self.xi = xi
+
+    def _key(self):
+        a = self.xi.a
+        return (self.xi.kind, float((a > 0) - (a < 0)) if self.xi.is_hat else a)
+
+    def __eq__(self, other):
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"_BySign({self.xi!r})"
+
+
+def test_congruence_rejects_a_coarser_dual_equality():
+    # hat(1) and hat(2.75) share a sign, but their sums with hat(-1) do
+    # not: under the coarser equality dual_add reads representatives
+    elems, add, scale, _ = _dual()
+    rep = check_conlinear(
+        [_BySign(x) for x in elems],
+        lambda x, y: _BySign(add(x.xi, y.xi)),
+        lambda t, x: _BySign(scale(t, x.xi)),
+        PROBES,
+    )
+    assert {axiom for axiom, _ in rep.violations} == {"C0-congruence"}
+    x1, x2, y = next(w for axiom, w in rep.violations if axiom == "C0-congruence")
+    assert x1 == x2 and add(x1.xi, y.xi) != add(x2.xi, y.xi)
+
+
+def test_equal_dual_elements_have_equal_values():
+    # the sample twice over, as distinct objects, with signed zeros
+    def sample():
+        return _dual()[0] + [DualElem.hat(-0.0), DualElem.proper(-0.0), DualElem.hat(2.0)]
+
+    elems = sample() + sample()
+    pairs = [(x, y) for x in elems for y in elems if x is not y and x == y]
+    assert len(pairs) >= 2 * len(sample())
+    rng = np.random.default_rng(14)
+    fns = [random_closed_convex_fn(rng) for _ in range(12)]
+    fns += [pl([(0, 0), (0.75, 1)], dom_lo=0, dom_hi=0.75), improper_split(0.0, 1.0)]
+    offsets = [-2.0, -0.5, 0.0, 1.0, 3.0]
+    xs = [k / 4.0 for k in range(-16, 17)]
+    for xi, eta in pairs:
+        for r in offsets:
+            assert [affine_eval(xi, r, x) for x in xs] == [affine_eval(eta, r, x) for x in xs], (xi, eta, r)
+            for g in fns:
+                assert conjugate(g, xi, r) == conjugate(g, eta, r), (g, xi, eta, r)
+
+
+def test_hats_of_one_sign_are_different_elements():
+    # the two hats read differently at offset 1 against g, so they are
+    # different elements, and dual_add keeps them apart
+    g = pl([(0, 0), (0.75, 1)], dom_lo=0, dom_hi=0.75)
+    one, two = DualElem.hat(1.0), DualElem.hat(2.0)
+    assert one != two
+    assert conjugate(g, one, 1.0) == xr.DownReal.bottom()
+    assert conjugate(g, two, 1.0) == xr.DownReal.top()
+    assert affine_eval(one, 1.0, 0.6) != affine_eval(two, 1.0, 0.6)
+    assert dual_add(one, DualElem.hat(-1.0)) != dual_add(two, DualElem.hat(-1.0))
 
 
 def _shifted(t, x):
