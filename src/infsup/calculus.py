@@ -60,6 +60,7 @@ from .functions import (
     ImproperSplit,
     PLProper,
     UpFunction,
+    _close,
     _lower_hull,
     _require_finite,
     affine_eval,
@@ -514,14 +515,6 @@ class EqualityReport:
     equal: bool
 
 
-def _down_close(p, q):
-    """Equal when infinite; finite values within INFCONV_CONJ_TOL relative to their size, as in ``fn_allclose``."""
-    if p.is_finite and q.is_finite:
-        a, b = p.value, q.value
-        return abs(a - b) <= INFCONV_CONJ_TOL * max(1.0, abs(a), abs(b))
-    return p == q
-
-
 def infconv_conjugate_check(f, g, xi, r):
     """Both routes to the conjugate of a convolution, with equality flag.
 
@@ -545,7 +538,7 @@ def infconv_conjugate_check(f, g, xi, r):
         rhs = ssum(
             ssum(conjugate(f, xi, 0.0), conjugate(g, xi, 0.0)), DownReal(-r)
         )
-    return EqualityReport(lhs=lhs, rhs=rhs, equal=_down_close(lhs, rhs))
+    return EqualityReport(lhs=lhs, rhs=rhs, equal=_close(lhs.v, rhs.v, INFCONV_CONJ_TOL))
 
 
 # ---------------------------------------------------------------------------

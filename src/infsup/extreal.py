@@ -217,6 +217,14 @@ def as_up(a: DownReal) -> UpReal:
     return UpReal(a.v)
 
 
+def _scale_factor(t):
+    """t as a float; raises ValueError unless it is a finite real >= 0."""
+    t = float(t)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"scale factor must be a finite real >= 0, got {t}")
+    return t
+
+
 def scale(t, a):
     """Multiply by a non-negative real; 0 times anything is 0.
 
@@ -226,9 +234,7 @@ def scale(t, a):
     """
     if not isinstance(a, _Tagged):
         raise TypeError(f"scale expects UpReal or DownReal, got {type(a).__name__}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"scale factor must be a finite real >= 0, got {t}")
+    t = _scale_factor(t)
     if t == 0:
         return type(a)(0.0)
     return type(a)(t * a.v)
@@ -305,9 +311,7 @@ def sdif_arr(a, b):
 
 def scale_arr(t, a):
     a = _clean(a)
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"scale factor must be a finite real >= 0, got {t}")
+    t = _scale_factor(t)
     if t == 0:
         return np.zeros_like(a)
     return t * a

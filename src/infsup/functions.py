@@ -41,6 +41,7 @@ import numpy as np
 from .extreal import (
     DownReal,
     UpReal,
+    _scale_factor,
     as_down,
     as_up,
     idif,
@@ -409,10 +410,9 @@ class PLProper(UpFunction):
         return (self.vs[i + 1] - self.vs[i]) / (self.xs[i + 1] - self.xs[i])
 
     def slope_before(self, x0):
-        """Slope immediately to the left of x0, or None at/below a bounded left end."""
-        if x0 <= self.dom_lo:
-            return None if self.dom_lo > -INF or x0 < self.dom_lo else self.slope_left
-        if x0 > self.dom_hi:
+        """Slope immediately to the left of finite x0, or None when x0 is not in (dom_lo, dom_hi]."""
+        x0 = _require_finite(x0, "x0")
+        if x0 <= self.dom_lo or x0 > self.dom_hi:
             return None
         i = _piece(self.xs, x0)
         if i >= 0 and self.xs[i] == x0:
@@ -420,10 +420,9 @@ class PLProper(UpFunction):
         return self._piece_slope(i)
 
     def slope_after(self, x0):
-        """Slope immediately to the right of x0, or None at/above a bounded right end."""
-        if x0 >= self.dom_hi:
-            return None if self.dom_hi < INF or x0 > self.dom_hi else self.slope_right
-        if x0 < self.dom_lo:
+        """Slope immediately to the right of finite x0, or None when x0 is not in [dom_lo, dom_hi)."""
+        x0 = _require_finite(x0, "x0")
+        if x0 < self.dom_lo or x0 >= self.dom_hi:
             return None
         return self._piece_slope(_piece(self.xs, x0))
 
@@ -515,6 +514,13 @@ def epi_contains(f, x, r):
     return f.eval(x) <= UpReal(r)
 
 
+def _close(a, b, tol):
+    """``|a - b| <= tol * max(1, |a|, |b|)`` for finite a and b; an infinity is close only to itself."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
 def fn_allclose(f, g, tol=1e-9):
     """Structural closeness of two up-space functions.
 
@@ -528,9 +534,7 @@ def fn_allclose(f, g, tol=1e-9):
     def close(a, b):
         if a is None or b is None:
             return a is None and b is None
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return _close(a, b, tol)
 
     if isinstance(f, ImproperSplit):
         return isinstance(g, ImproperSplit) and close(f.lo, g.lo) and close(f.hi, g.hi)
@@ -694,9 +698,7 @@ def dual_scale(t, xi):
     """
     if not isinstance(xi, DualElem):
         raise TypeError("dual_scale expects a DualElem")
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"scale factor must be a finite real >= 0, got {t}")
+    t = _scale_factor(t)
     if t == 0:
         return DualElem.proper(0.0)
     return DualElem(xi.kind, t * xi.a)

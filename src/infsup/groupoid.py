@@ -14,9 +14,8 @@ a lattice, C implies it back (Blyth & Janowitz, *Residuation Theory*,
 1972), and all four are equivalent; on a bare partial order C can hold
 while the others fail.  On a finite carrier all four are decided
 exactly, which makes these statements testable.  This module implements
-the checks, a residual lookup, a generator of random valid structures
-for fuzzing, and ``ScaledMonoid``, which hands a finite table with a
-scalar action to ``laws.check_conlinear``, the conlinear-space axioms.
+the checks, a residual lookup, and a generator of random valid
+structures for fuzzing.
 
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 CONDITIONS = ("A", "B", "C", "D")
 MODES = ("inf", "sup")
@@ -94,15 +92,6 @@ class FiniteOrderedGroupoid:
         self._down = [sum(1 << x for x in range(n) if self.leq[x][y]) for y in range(n)]
         self._up_of = {m: x for x, m in enumerate(self._up)}
         self._down_of = {m: y for y, m in enumerate(self._down)}
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_json_dict(cls, d):
-        try:
-            return cls(d["carrier"], d["add"], d["leq"])
-        except KeyError as e:
-            raise ValueError(f"groupoid JSON is missing key {e.args[0]!r}") from None
 
     def _validate(self):
         n = len(self.carrier)
@@ -311,49 +300,6 @@ def residual(G, u, v, mode):
     principal = G._up_of if mode == "inf" else G._down_of
     w = principal.get(G._residual_mask(G.index(u), G.index(v), mode))
     return None if w is None else G.carrier[w]
-
-
-# ---------------------------------------------------------------------------
-# A finite carrier with a scalar action, as callables for laws.check_conlinear.
-# ---------------------------------------------------------------------------
-
-
-class ScaledMonoid:
-    """Finite carrier, addition table, and a scalar action by probe scalars.
-
-    ``scale`` maps each probe scalar (a non-negative Fraction or float)
-    to the list of images of the carrier under that scalar.  ``plus``
-    and ``times`` read the tables on labels, which is the form
-    ``laws.check_conlinear(S.carrier, S.plus, S.times, S.scale)`` takes;
-    its probe set must contain 0 and 1.
-    """
-
-    def __init__(self, carrier, add, scale):
-        self.carrier, self._index, self.add = _carrier_and_table(carrier, add)
-        n = len(self.carrier)
-        self.scale = {}
-        for t, images in scale.items():
-            t = Fraction(t)
-            if t < 0:
-                raise ValueError(f"probe scalar {t} is negative")
-            if len(images) != n:
-                raise ValueError(f"scale table for {t} must list {n} images")
-            self.scale[t] = [
-                _to_index(self._index, x, f"scale[{t}][{i}]") for i, x in enumerate(images)
-            ]
-
-    def plus(self, x, y):
-        """The label of x + y."""
-        i, j = _to_index(self._index, x, "x"), _to_index(self._index, y, "y")
-        return self.carrier[self.add[i][j]]
-
-    def times(self, t, x):
-        """The label of t * x, for a probe scalar t."""
-        try:
-            images = self.scale[Fraction(t)]
-        except KeyError:
-            raise ValueError(f"{t} is not a probe scalar of this table") from None
-        return self.carrier[images[_to_index(self._index, x, "x")]]
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,15 @@ def test_one_sided_slopes_match_segment_slopes():
             assert (f.slope_before(x), f.slope_after(x)) == _reference_slopes(f, x), (f, x)
 
 
+def test_one_sided_slopes_reject_non_finite_points():
+    # an infinite or nan x0 is no point of the line, so it has no ray slope
+    f = pl([(0, 0), (1, 1)], slope_left=-1, slope_right=2)
+    for x0 in (math.nan, INF, -INF):
+        for query in (f.slope_before, f.slope_after):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                query(x0)
+
+
 def test_constructor_rejects_bad_data():
     for xs, vs in (([], []), ([0.0, 1.0], [0.0])):
         with pytest.raises(ValueError, match="equally many"):

@@ -8,14 +8,12 @@ from infsup import extreal as xr
 from infsup.groupoid import (
     MAX_WITNESSES,
     FiniteOrderedGroupoid,
-    ScaledMonoid,
     _random_tables,
     check_condition,
     check_equivalence,
     random_groupoid,
     residual,
 )
-from infsup.laws import check_conlinear
 
 B, Z, T = "-inf", "0", "+inf"
 CHAIN = [B, Z, T]
@@ -153,14 +151,6 @@ def test_structures_reject_bad_shapes():
         FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1, 1]])
     with pytest.raises(ValueError, match="leq matrix"):
         FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1], [0, 0, 1]])
-    with pytest.raises(ValueError, match="negative"):
-        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "-1/2": CHAIN})
-    with pytest.raises(ValueError, match="must list 3 images"):
-        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "2": [B, Z]})
-    S = ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "1/2": CHAIN})
-    assert S.times(0.5, T) == T
-    with pytest.raises(ValueError, match="not a probe scalar"):
-        S.times(2, Z)
     for size in (0, -3):
         with pytest.raises(ValueError, match="size must be"):
             random_groupoid(np.random.default_rng(0), size)
@@ -235,51 +225,6 @@ def test_agreement_needs_a_lattice_order():
         assert ("a", "a") in rep.witnesses
 
 
-def _chain_scaled(add):
-    identity = CHAIN
-    zeros = [Z, Z, Z]
-    return ScaledMonoid(
-        CHAIN,
-        add,
-        {"0": zeros, "1": identity, "2": identity, "1/2": identity},
-    )
-
-
-def test_chain_models_are_conlinear():
-    for add in (UP_ADD, DOWN_ADD):
-        S = _chain_scaled(add)
-        rep = check_conlinear(S.carrier, S.plus, S.times, S.scale)
-        assert rep.is_conlinear
-        assert rep.neutral == Z
-        assert rep.convex_elements == list(CHAIN)
-
-
-def test_broken_zero_action_is_flagged():
-    bad = ScaledMonoid(
-        CHAIN,
-        UP_ADD,
-        {"0": [Z, T, Z], "1": CHAIN, "2": CHAIN, "1/2": CHAIN},
-    )
-    rep = check_conlinear(bad.carrier, bad.plus, bad.times, bad.scale)
-    assert not rep.is_conlinear
-    assert any(kind == "C2-iv" for kind, _ in rep.violations)
-
-
-def test_json_roundtrip_construction():
-    d = {"carrier": CHAIN, "add": UP_ADD, "leq": CHAIN_LEQ}
-    G = FiniteOrderedGroupoid.from_json_dict(d)
-    assert G.carrier == tuple(CHAIN)
-    with pytest.raises(ValueError, match="missing key"):
-        FiniteOrderedGroupoid.from_json_dict({"carrier": CHAIN, "add": UP_ADD})
-
-
-def test_scaled_monoid_rejects_labels_outside_the_carrier():
-    with pytest.raises(ValueError, match=r"add\[1\]\[2\] = 'nope'"):
-        ScaledMonoid(CHAIN, [UP_ADD[0], [B, Z, "nope"], UP_ADD[2]], {"1": CHAIN})
-    with pytest.raises(ValueError, match=r"scale\[1/2\]\[0\] = 'nope'"):
-        ScaledMonoid(CHAIN, UP_ADD, {"1": CHAIN, "1/2": ["nope", Z, T]})
-
-
 @pytest.mark.parametrize(
     "carrier, add, message",
     [
@@ -291,12 +236,10 @@ def test_scaled_monoid_rejects_labels_outside_the_carrier():
     ],
     ids=["empty", "repeated-label", "short-table", "short-row", "foreign-entry"],
 )
-def test_both_structures_check_carrier_and_table_alike(carrier, add, message):
+def test_construction_checks_carrier_and_table(carrier, add, message):
     leq = [[i == j for j in range(len(carrier))] for i in range(len(carrier))]
     with pytest.raises(ValueError, match=message):
         FiniteOrderedGroupoid(carrier, add, leq)
-    with pytest.raises(ValueError, match=message):
-        ScaledMonoid(carrier, add, {"1": carrier})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from infsup import extreal as xr
 from infsup.calculus import conjugate
 from infsup.functions import DualElem, affine_eval, dual_add, dual_scale, improper_split, pl
-from infsup.groupoid import ScaledMonoid
 from infsup.laws import check_conlinear, random_closed_convex_fn
 
 PROBES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
@@ -31,23 +30,10 @@ def _dual():
     return elems, dual_add, dual_scale, DualElem.proper(0.0)
 
 
-def _chain(cls, add):
-    """{-inf, 0, +inf} under ``add`` and ``extreal.scale``, as label tables."""
-    vals = [cls(v) for v in (-np.inf, 0.0, np.inf)]
-    S = ScaledMonoid(
-        [repr(x) for x in vals],
-        [[repr(add(x, y)) for y in vals] for x in vals],
-        {t: [repr(xr.scale(t, x)) for x in vals] for t in PROBES},
-    )
-    return S.carrier, S.plus, S.times, repr(cls(0.0))
-
-
 SPACES = {
     "UpReal": lambda: _extreal(xr.UpReal, xr.isum),
     "DownReal": lambda: _extreal(xr.DownReal, xr.ssum),
     "dual": _dual,
-    "up-chain": lambda: _chain(xr.UpReal, xr.isum),
-    "down-chain": lambda: _chain(xr.DownReal, xr.ssum),
 }
 
 
