@@ -18,16 +18,19 @@ window set by h's infinite rays and otherwise the upper envelope of the
 lines w -> x_i*w - v_i through h's breakpoints.  That envelope is the
 lower convex hull of the breakpoints read in the dual, so the transform
 is built on ``functions._lower_hull``, the same hull stack as
-``closure_hull``.  It serves ``conjugate_curve``, ``biconjugate``
-(which applies it twice) and ``subdiff_conjugate_check`` (which probes
-many slopes of one function).
+``closure_hull``, and takes the same array route when the chord slopes
+already rise (``functions.ARRAY_MIN_K``).  It serves ``conjugate_curve``,
+``biconjugate`` (which applies it twice) and ``subdiff_conjugate_check``
+(which probes many slopes of one function).
 
 The infimal convolution of proper functions does not go through the
 transform: its epigraph is the Minkowski sum of the two epigraphs, so
 its graph is the two edge lists merged by slope (exact here:
 piecewise-linear convex functions are polyhedral, so the infimum in the
 convolution is attained and the result is closed).  The conjugate of a
-convolution is therefore an independent check on it.
+convolution is therefore an independent check on it.  Small operands
+merge in a two-pointer walk, large ones by ``searchsorted`` ranks; both
+give the same vertices.
 
 Point queries on a convex ``PLProper`` (``dirderiv``,
 ``subdiff_extended``, ``is_subgradient``) cost O(log k): the function
@@ -43,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extreal import (
     DownReal,
     UpReal,
@@ -54,6 +59,7 @@ from .extreal import (
     ssum,
 )
 from .functions import (
+    ARRAY_MIN_K,
     ConstBottom,
     ConstTop,
     DualElem,
@@ -61,8 +67,10 @@ from .functions import (
     PLProper,
     UpFunction,
     _close,
+    _chords,
     _lower_hull,
     _require_finite,
+    _rising_chords,
     affine_eval,
     improper_split,
 )
@@ -286,6 +294,10 @@ def _pl_legendre(f):
     w_lo, w_hi = f.slope_window()
     if w_lo > w_hi:
         return ConstTop()
+    if len(f.xs) >= ARRAY_MIN_K and (whole := _rising_chords(f.xs, f.vs)):
+        # every point is a hull vertex; x*w - v rounds twice, as below
+        x, v, ws = whole
+        return PLProper(ws.tolist(), (x[:-1] * ws - v[:-1]).tolist(), f.xs[0], f.xs[-1], w_lo, w_hi)
     xs, vs, ws = _lower_hull(f.xs, f.vs)
     if not ws:
         return PLProper([0.0], [-vs[0]], xs[0], xs[0], w_lo, w_hi)
@@ -455,6 +467,16 @@ def _epigraph_sum(f, g):
     operands' chords with slopes below R in increasing slope order, one
     operand advancing per vertex.  No such slope (L > R) means the sum
     contains whole vertical lines, so the convolution is Bottom.
+
+    The chords taken are those with L < slope < R, f's before g's on
+    equal slopes.  Below ARRAY_MIN_K breakpoints in all, a two-pointer
+    walk takes them.  From there on, each chord's place in the merged
+    order is its index in its own list plus ``searchsorted``'s count of
+    the other list's chords before it, and the vertices are gathered as
+    float64 sums, the walk's additions.  Timed with the constructor of
+    the result, on convex random-slope operands of equal size (2 vCPU),
+    this route is 2x slower than the walk at 128 breakpoints in all,
+    even at about 384, and 1.1-1.5x faster from 512 to 2 * 10^5.
     """
     lo, hi = f.dom_lo + g.dom_lo, f.dom_hi + g.dom_hi
     (fl, fr), (gl, gr) = f.slope_window(), g.slope_window()
@@ -462,23 +484,37 @@ def _epigraph_sum(f, g):
     if L > R:
         return ConstBottom()
     xf, vf, xg, vg = f.xs, f.vs, g.xs, g.vs
-    # a +inf sentinel stands for "no chord left" at each operand's last vertex;
-    # the walk advances the flatter next chord while it is flatter than R
-    sf, sg = f.segment_slopes() + [INF], g.segment_slopes() + [INF]
-    i = next(k for k, s in enumerate(sf) if s > L)
-    j = next(k for k, s in enumerate(sg) if s > L)
-    xs, vs = [xf[i] + xg[j]], [vf[i] + vg[j]]
-    while True:
-        if sf[i] <= sg[j]:
-            if sf[i] >= R:
-                break
-            i += 1
-        else:
-            if sg[j] >= R:
-                break
-            j += 1
-        xs.append(xf[i] + xg[j])
-        vs.append(vf[i] + vg[j])
+    if len(xf) + len(xg) >= ARRAY_MIN_K:
+        (xf, vf, sf), (xg, vg, sg) = _chords(xf, vf), _chords(xg, vg)
+        # the chords the walk below takes: L < slope < R (convex operands'
+        # chord slopes rise, so searchsorted finds the cuts)
+        i, j = np.searchsorted(sf, L, "right"), np.searchsorted(sg, L, "right")
+        sf, sg = sf[i : np.searchsorted(sf, R, "left")], sg[j : np.searchsorted(sg, R, "left")]
+        # their merged order, an f chord first on ties; the vertices follow it
+        from_f = np.zeros(len(sf) + len(sg), dtype=bool)
+        from_f[np.arange(len(sf)) + np.searchsorted(sg, sf, "left")] = True
+        fi = i + np.concatenate(([0], np.cumsum(from_f)))
+        gj = j + np.concatenate(([0], np.cumsum(~from_f)))
+        xs, vs = (xf[fi] + xg[gj]).tolist(), (vf[fi] + vg[gj]).tolist()
+    else:
+        # a +inf sentinel stands for "no chord left" at each operand's last
+        # vertex; the walk advances the flatter next chord while it is
+        # flatter than R
+        sf, sg = f.segment_slopes() + [INF], g.segment_slopes() + [INF]
+        i = next(k for k, s in enumerate(sf) if s > L)
+        j = next(k for k, s in enumerate(sg) if s > L)
+        xs, vs = [xf[i] + xg[j]], [vf[i] + vg[j]]
+        while True:
+            if sf[i] <= sg[j]:
+                if sf[i] >= R:
+                    break
+                i += 1
+            else:
+                if sg[j] >= R:
+                    break
+                j += 1
+            xs.append(xf[i] + xg[j])
+            vs.append(vf[i] + vg[j])
     return PLProper(xs, vs, L if lo == -INF else None, R if hi == INF else None, lo, hi)
 
 
@@ -491,8 +527,9 @@ def infconv(f, g):
     the other domain, and no further.  Two proper piecewise-linear
     operands convolve exactly through their epigraphs: the epigraph of
     the result is epi f + epi g, whose graph merges the two edge lists
-    by slope in O(k_f + k_g) steps, and which is Bottom everywhere when
-    no line lies below both operands' rays.
+    by slope (:func:`_epigraph_sum`: a walk for small operands, a
+    ``searchsorted`` merge for large ones), and which is Bottom everywhere
+    when no line lies below both operands' rays.
     """
     for h in (f, g):
         if not isinstance(h, UpFunction):

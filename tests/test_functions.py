@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 
 import infsup.extreal as xr
 import infsup.functions as functions
-from infsup.extreal import UpReal, down, up
+from infsup.extreal import UpReal, up
 from infsup.calculus import biconjugate, dirderiv, infconv, is_subgradient, subdiff_conjugate_check
 from infsup.functions import (
     COLLINEAR_TOL,
     ConstBottom,
     ConstTop,
-    DownFunction,
     DualElem,
     ImproperSplit,
     PLProper,
@@ -42,7 +41,6 @@ from infsup.functions import (
     epi_contains,
     fn_allclose,
     improper_split,
-    negate_fn,
     pl,
 )
 from infsup.laws import (
@@ -543,28 +541,24 @@ def test_cached_convexity_is_the_slope_rule():
     assert seen == {(False, False), (True, True), (True, False)}
 
 
-def _count_slope_passes(monkeypatch):
-    calls = []
-    inner = PLProper.all_slopes
-
-    def counted(self):
-        calls.append(self)
-        return inner(self)
-
-    monkeypatch.setattr(PLProper, "all_slopes", counted)
-    return calls
-
-
 def test_convexity_is_computed_once_per_instance(monkeypatch):
-    calls = _count_slope_passes(monkeypatch)
+    # a slope pass is all_slopes below the size rule and _chords from it on
+    calls = []
+    all_slopes, chords = PLProper.all_slopes, functions._chords
+    monkeypatch.setattr(PLProper, "all_slopes", lambda self: calls.append(self) or all_slopes(self))
+    monkeypatch.setattr(functions, "_chords", lambda xs, vs: calls.append(xs) or chords(xs, vs))
     rng = np.random.default_rng(2032)
-    for f in [random_convex_pl(rng), random_nonconvex_pl(rng), *(PLProper(*a) for a in _non_canonical_inputs())]:
+    k = functions.ARRAY_MIN_K
+    fns = [random_convex_pl(rng), random_nonconvex_pl(rng), *(PLProper(*a) for a in _non_canonical_inputs())]
+    fns += [pl([(i, i * i) for i in range(k)], -1.0, 2.0 * k), pl([(i, i % 2) for i in range(k)], -2.0, 2.0)]
+    for f in fns:
         calls.clear()
         first = f.is_convex()
-        assert len(calls) == 1
+        assert calls == [f.xs if len(f.xs) >= k else f]
         for _ in range(3):
             assert f.is_convex() == first
         assert len(calls) == 1
+    assert [f.is_convex() for f in fns[-2:]] == [True, False]
     # the queries ask the instance, so repeated ones share the pass too
     g = pl([(0.0, 0.0), (1.0, 0.5), (3.0, 4.0)], -1.0, 3.0)
     calls.clear()
@@ -589,16 +583,6 @@ def test_cached_false_still_raises():
             with pytest.raises(ValueError, match="convex"):
                 call()
     assert not g.is_convex()
-
-
-def test_is_concave_reads_the_mirror_cache(monkeypatch):
-    calls = _count_slope_passes(monkeypatch)
-    rng = np.random.default_rng(2034)
-    for f in (random_convex_pl(rng), random_nonconvex_pl(rng)):
-        h = negate_fn(f)
-        calls.clear()
-        assert h.is_concave() == f.is_convex() == h.is_concave()
-        assert calls == [f]
 
 
 # ---------------------------------------------------------------------------
@@ -706,45 +690,6 @@ def test_hull_matches_minorant_enumeration_oracle():
             assert h.eval(f.dom_lo - 1.0) == TOP
         if f.dom_hi < INF:
             assert h.eval(f.dom_hi + 1.0) == TOP
-
-
-# ---------------------------------------------------------------------------
-# Negation and the down space
-# ---------------------------------------------------------------------------
-
-
-def test_negate_abs_is_concave():
-    h = negate_fn(abs_fn())
-    assert isinstance(h, DownFunction)
-    assert h.eval(2.0) == down(-2.0)
-    assert h.eval(-0.5) == down(-0.5)
-    assert h.is_concave()
-    back = negate_fn(h)
-    assert fn_allclose(back, abs_fn(), tol=0.0)
-
-
-def test_negate_improper_split_keeps_interval():
-    f = improper_split(0.0, INF)
-    h = negate_fn(f)
-    assert h.dom() == f.dom()
-    # down-space reading: dom = {x : Bottom < h(x)}; inside the interval the
-    # value is Top of the down space, outside it is Bottom
-    assert h.eval(3.0) == xr.DownReal.top()
-    assert h.eval(-1.0) == xr.DownReal.bottom()
-
-
-def test_negate_rejects_non_functions():
-    with pytest.raises(TypeError):
-        negate_fn(42)
-    with pytest.raises(TypeError):
-        DownFunction(3.0)
-
-
-def test_down_hypo_contains():
-    h = negate_fn(abs_fn())
-    assert h.hypo_contains(1.0, -1.0)
-    assert h.hypo_contains(1.0, -2.0)
-    assert not h.hypo_contains(1.0, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +953,6 @@ def _stored_bits(f):
     def h(x):
         return None if x is None else x.hex()
 
-    if isinstance(f, DownFunction):
-        return ("mirror", type(f.mirror).__name__, _stored_bits(f.mirror))
     if isinstance(f, PLProper):
         return ([*map(h, f.xs)], [*map(h, f.vs)], h(f.slope_left), h(f.slope_right), h(f.dom_lo), h(f.dom_hi))
     if isinstance(f, DualElem):
@@ -1039,7 +982,6 @@ def test_repr_evaluates_back_bit_for_bit():
     ]
     for a, _ in rng.standard_normal((10, 2)):
         objs += [DualElem.proper(a), DualElem.hat(a)]
-    objs += [negate_fn(f) for f in objs if isinstance(f, (PLProper, ImproperSplit))]
     for f in objs:
         g = eval(repr(f), vars(functions))
         assert type(g) is type(f) and _stored_bits(g) == _stored_bits(f), repr(f)

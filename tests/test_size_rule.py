@@ -1,0 +1,150 @@
+"""The size rule: array routes against the stack loops, bit for bit.
+
+From ``functions.ARRAY_MIN_K`` breakpoints on, the constructor's prune,
+``is_convex``, the hull passes and the epigraph merge read their chord
+slopes as float64 arrays, and skip the stack loop when the arrays show
+that it would pop nothing.  The stack loops are the reference: raising
+the constant above every size forces them, and every output must then
+read the same, by full ``repr``, exceptions included.
+
+The inputs make every fallback fire at large k: raw data with exactly
+collinear midpoints (the prune pops), a convex function with one slope
+descent (the hull pops), non-convex data, and two consecutive infinite
+chord slopes (equal as computed, so the hull pops).  The convolution
+pairs have exactly tied chord slopes, L and R cuts that drop chords at
+both ends, an R that ties a chord exactly, and two right-bounded
+operands (R = +inf).  Values sit near 1e6, so that sums round and a
+vertex placed by a wrong tie order survives the prune.
+"""
+
+import numpy as np
+import pytest
+
+import infsup.calculus as calculus
+import infsup.functions as functions
+from infsup.calculus import biconjugate, conjugate_curve, infconv
+from infsup.functions import ARRAY_MIN_K, PLProper, closure_hull
+
+INF = float("inf")
+
+
+def _points(rng, k):
+    """k strictly increasing points spread over [-1e3, 1e3]."""
+    return -1e3 + np.cumsum(rng.uniform(0.5, 1.5, k)) * (2e3 / k)
+
+
+def _values(x, slopes):
+    """Values near 1e6 whose chords have slopes[1:-1] (rounded); slopes[0], slopes[-1] are the rays."""
+    return 1e6 + np.concatenate(([0.0], np.cumsum(slopes[1:-1] * np.diff(x))))
+
+
+def _args(x, v, sl, sr, dom_lo=-INF, dom_hi=INF):
+    return (x.tolist(), v.tolist(), float(sl), float(sr), dom_lo, dom_hi)
+
+
+def _single_inputs(k):
+    """Constructor arguments, by name, each with about k breakpoints."""
+    rng = np.random.default_rng(k)
+    x = _points(rng, k)
+    s = np.sort(rng.uniform(-50.0, 50.0, k + 1))
+    v = _values(x, s)
+    out = {
+        "convex": _args(x, v, s[0], s[-1]),
+        "convex-bounded": _args(x, v, s[0], s[-1], float(x[0]), float(x[-1])),
+    }
+    # dyadic data with the exact midpoint of every other gap: the prune pops
+    dx = np.cumsum(rng.integers(1, 9, k)) / 4.0
+    dv = 1024.0 + np.concatenate(([0.0], np.cumsum(np.sort(rng.integers(-640, 640, k - 1)) / 64.0 * np.diff(dx))))
+    mx, mv = (dx[:-1:2] + dx[1::2]) / 2.0, (dv[:-1:2] + dv[1::2]) / 2.0
+    order = np.argsort(np.concatenate((dx, mx)))
+    out["collinear"] = _args(np.concatenate((dx, mx))[order], np.concatenate((dv, mv))[order], -20.0, 20.0)
+    # one chord falls 1e-9 below the one before: not convex, and the hull pops
+    d = s.copy()
+    d[k // 2 + 1] = d[k // 2] - 1e-9
+    out["one-descent"] = _args(x, _values(x, d), d[0], d[-1])
+    out["non-convex"] = _args(x, _values(x, rng.uniform(-50.0, 50.0, k + 1)), -60.0, 60.0)
+    if k >= 3:
+        # the last two chords overflow to +inf; inf - inf is nan, so the
+        # prune keeps both, and the hull pops the vertex between them
+        xi, vi = x.copy(), v.copy()
+        xi[-2:] = xi[-3] + np.array([1e-10, 2e-10])
+        vi[-2:] = [1e300, 1.5e300]
+        out["infinite-chords"] = _args(xi, vi, s[0], s[-1], -INF, float(xi[-1]))
+    return out
+
+
+def _pairs(k):
+    """Convex operand pairs for ``infconv``, by name."""
+    rng = np.random.default_rng(10_000 + k)
+    x = _points(rng, k)
+    s = np.sort(rng.uniform(-50.0, 50.0, k + 1))
+    f = PLProper(*_args(x, _values(x, s), s[0], s[-1]))
+    out = {"tied": (f, PLProper([2.0 * t for t in f.xs], [2.0 * t for t in f.vs], f.slope_left, f.slope_right))}
+    # g's rays sit exactly on two of f's chord slopes, so L and R cut f's
+    # chords at both ends and the chord at R ties it
+    sf = np.diff(f.vs) / np.diff(f.xs)
+    lo, hi = sf[len(sf) // 4], sf[(3 * len(sf)) // 4]
+    xg = _points(rng, k)
+    sg = np.concatenate(([lo], np.sort(rng.uniform(lo, hi, k - 1)), [hi]))
+    out["cut"] = (f, PLProper(*_args(xg, _values(xg, sg), lo, hi)))
+    # both operands bounded on the right: R = +inf
+    bounded = []
+    for _ in range(2):
+        xb = _points(rng, k)
+        sb = np.sort(rng.uniform(-50.0, 50.0, k + 1))
+        bounded.append(PLProper(*_args(xb, _values(xb, sb), sb[0], sb[-1], -INF, float(xb[-1]))))
+    out["right-bounded"] = tuple(bounded)
+    return out
+
+
+def _read(op, *args):
+    try:
+        out = op(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return repr(out)
+
+
+def _outputs(k):
+    out = {}
+    for name, args in _single_inputs(k).items():
+        f = PLProper(*args)
+        out[name] = (
+            repr(f),
+            f.is_convex(),
+            _read(closure_hull, f),
+            _read(lambda g: conjugate_curve(g).curve, f),
+            _read(biconjugate, f),
+        )
+    for name, (f, g) in _pairs(k).items():
+        assert f.is_convex() and g.is_convex(), name
+        out["infconv-" + name] = (_read(infconv, f, g), _read(infconv, g, f))
+    return out
+
+
+def _record(monkeypatch, name, seen):
+    inner = getattr(functions, name)
+
+    def recorded(*args):
+        out = inner(*args)
+        seen.add((name, out is not None and out is not False))
+        return out
+
+    monkeypatch.setattr(functions, name, recorded)
+    if hasattr(calculus, name):
+        monkeypatch.setattr(calculus, name, recorded)
+
+
+@pytest.mark.parametrize("k", sorted({2, 16, ARRAY_MIN_K - 1, ARRAY_MIN_K, 256, 10**4}))
+def test_array_routes_match_the_stack_bit_for_bit(k, monkeypatch):
+    seen = set()
+    with monkeypatch.context() as m:
+        _record(m, "_any_within_tol", seen)
+        _record(m, "_rising_chords", seen)
+        fast = _outputs(k)
+    if k >= ARRAY_MIN_K:
+        # each array test both skipped its stack and fell back to it
+        assert seen == {(n, b) for n in ("_any_within_tol", "_rising_chords") for b in (True, False)}
+    for module in (functions, calculus):
+        monkeypatch.setattr(module, "ARRAY_MIN_K", 10**9)
+    assert _outputs(k) == fast
