@@ -9,8 +9,9 @@ tolerances wherever the operations themselves are exact.
 ``check_conlinear`` checks the axioms every image space of the package
 shares (a commutative monoid with a non-negative scaling) on a finite
 sample, given the space's addition and scaling as callables: ``UpReal``
-with ``isum``/``scale``, ``DownReal`` with ``ssum``/``scale``, and the
-inf-dual with ``dual_add``/``dual_scale``.
+with ``isum``/``scale``, ``DownReal`` with ``ssum``/``scale``, the
+inf-dual with ``dual_add``/``dual_scale``, and G(R^2, C) with
+``setvalued.add``/``setvalued.scale``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ halfplanes (the source of truth for membership) and a generator pair
 turns a hull and rays into rows and goes through it too.  It sorts the
 rows by normal angle, keeps the tightest row per direction, and clips
 each row's boundary line by every other row to an interval of positions
-along it, O(k^2) for k rows.  Rows whose interval has positive length
+along it.  Rows whose interval has positive length
 are the edges, in counterclockwise order; their finite interval ends are
 the vertices and their infinite ends give the recession rays.  A pair of
 opposite rows with touching lines makes the set flat (a segment, halfline
@@ -22,13 +22,27 @@ construction placed within rounding of a boundary still counts as inside.
 
 The algebra goes through support functions: ``minkowski`` adds them,
 h_{A+B} = h_A + h_B, and ``validate`` rebuilds the set from ``hs``.
+
+The two all-pairs steps run as numpy passes: ``_clip`` clips all k rows
+against each other (k^2 row pairs), and ``_max_dots`` takes the support
+values of many directions over all vertices at once; ``support``,
+``minkowski`` and ``from_generators`` all read it.  Both do the scalar
+arithmetic of a per-row loop in the same order, so their results are
+those of the loop bit for bit (``tests/test_poly2_arrays.py`` holds the
+loops).  Both take their rows in blocks of at most ``BLOCK`` pairs, so
+that their temporaries stay at a few ``BLOCK``-element arrays for any
+number of rows; the value comes from a measured time and peak-memory
+table (CHANGES.md).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 TOL = 1e-9
 QUERY_TOL = 1e-7
@@ -59,9 +73,9 @@ def _norm(a):
     return math.hypot(a[0], a[1])
 
 
-def _unit(a):
+def _unit(a, tol=TOL):
     n = _norm(a)
-    if n <= TOL:
+    if n <= tol:
         raise ValueError(f"cannot normalize a zero vector: {a}")
     return (a[0] / n, a[1] / n)
 
@@ -89,11 +103,20 @@ def _half_hull(pts, tol):
     return chain[:-1]
 
 
+def _size_unit(points):
+    """The largest coordinate, capped at 1: the unit that tolerances on
+    lengths shrink to below unit-size data (0 when every point is 0)."""
+    return min(1.0, max(abs(c) for p in points for c in p))
+
+
 def _hull_ccw(points):
     """Monotone-chain convex hull, counterclockwise, with points within
     TOL times the data's size (at least 1) of a hull edge removed.
+    Coordinates are first rounded to 12 decimals of ``_size_unit``.
     Returns the degenerate chains as they are."""
-    pts = sorted(set((round(p[0], 12), round(p[1], 12)) for p in points))
+    unit = _size_unit(points)
+    digits = 12 - math.floor(math.log10(unit)) if unit > 0 else 12
+    pts = sorted(set((round(p[0], digits), round(p[1], digits)) for p in points))
     if len(pts) > 2:
         tol = TOL * max(1.0, *(abs(c) for p in pts for c in p))
         pts = _half_hull(pts, tol) + _half_hull(reversed(pts), tol)
@@ -146,32 +169,17 @@ class ConvexPoly2:
             return cls.empty_set()
         if not rows:
             return cls.plane()
+        clipped = _clip(rows)
+        if clipped is None:
+            return cls.empty_set()
         spans = []  # the rows whose boundary line meets the set
         flat = None  # the span whose line an opposite row pins the set to
-        for i, (n, c) in enumerate(rows):
-            d = _rot90(n)
-            p = (c * n[0], c * n[1])
-            lo, hi = -INF, INF
-            pinned = False
-            for j, (m, e) in enumerate(rows):
-                if j == i:
-                    continue
-                a = _dot(m, d)
-                b = e - _dot(m, p)
-                if abs(a) <= TOL:  # opposite rows, as _clean_rows merged the rest
-                    slack = TOL * (1 + abs(c) + abs(e))
-                    if b < -slack:
-                        return cls.empty_set()
-                    pinned = pinned or b <= slack
-                elif a > 0:
-                    hi = min(hi, b / a)
-                else:
-                    lo = max(lo, b / a)
+        for (n, c), lo, hi, pinned in zip(rows, *clipped):
             gap = hi - lo
             tol = TOL * (1 + abs(c) + abs(lo) + abs(hi)) if gap < INF else 0.0
             if gap < -tol:
                 continue
-            span = _Span(n, c, p, d, lo, hi, gap > tol)
+            span = _Span(n, c, (c * n[0], c * n[1]), _rot90(n), lo, hi, gap > tol)
             spans.append(span)
             if pinned and flat is None:
                 flat = span
@@ -203,24 +211,32 @@ class ConvexPoly2:
 
     @classmethod
     def from_generators(cls, verts, rays=()):
-        verts = [tuple(map(float, v)) for v in verts]
-        rays = [_unit(r) for r in rays if _norm(r) > TOL]
+        """conv(verts) + cone(rays), empty when there is no vertex.
+
+        Tolerances on lengths scale with the data below unit size: the
+        hull rounds to 12 decimals, and an edge shorter than ``TOL``
+        cannot give a normal, both relative to the largest coordinate
+        when it is below 1.
+        """
+        verts = [_finite(v, "vertex") for v in verts]
+        rays = [_unit(r) for r in (_finite(r, "ray") for r in rays) if _norm(r) > TOL]
         if not verts:
             return cls.empty_set()
+        unit = _size_unit(verts)
         hull = _hull_ccw(verts)
         cands = []
         if len(hull) >= 3:
             for a, b in zip(hull, hull[1:] + hull[:1]):
                 e = (b[0] - a[0], b[1] - a[1])
-                cands.append(_unit(_rot270(e)))
+                cands.append(_unit(_rot270(e), TOL * unit))
         elif len(hull) == 2:
-            u = _unit((hull[1][0] - hull[0][0], hull[1][1] - hull[0][1]))
+            u = _unit((hull[1][0] - hull[0][0], hull[1][1] - hull[0][1]), TOL * unit)
             cands += [_rot90(u), _rot270(u), u, _neg(u)]
         for r in rays:
             cands += [_rot90(r), _rot270(r), _neg(r)]
         cands += [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        free = [n for n in cands if all(_dot(n, r) <= TOL for r in rays)]
-        return cls.from_halfplanes([(n, max(_dot(n, v) for v in hull)) for n in free])
+        h = _max_dots(cands, *_generators(hull, rays)).tolist()
+        return cls.from_halfplanes([(n, c) for n, c in zip(cands, h) if c < INF])
 
     # -- basic queries -------------------------------------------------------
 
@@ -235,9 +251,12 @@ class ConvexPoly2:
         recession ray points along d."""
         if self.empty:
             return -INF
-        if any(_dot(d, r) > TOL for r in self.rays):
-            return INF
-        return max(_dot(d, v) for v in self.verts)
+        return float(_max_dots([d], *self._gens)[0])
+
+    @cached_property
+    def _gens(self):
+        """The generators in the form ``_max_dots`` reads, made on first use."""
+        return _generators(self.verts, self.rays)
 
     def recession_contains(self, d):
         if self.empty:
@@ -271,8 +290,9 @@ class ConvexPoly2:
         row whose summed support is +inf bounds nothing and is dropped."""
         if self.empty or other.empty:
             return ConvexPoly2.empty_set()
-        rows = [(n, self.support(n) + other.support(n)) for n, _ in self.hs + other.hs]
-        return ConvexPoly2.from_halfplanes([(n, h) for n, h in rows if h < INF])
+        dirs = [n for n, _ in self.hs + other.hs]
+        h = zip(dirs, _max_dots(dirs, *self._gens).tolist(), _max_dots(dirs, *other._gens).tolist())
+        return ConvexPoly2.from_halfplanes([(n, a + b) for n, a, b in h if a + b < INF])
 
 
 def intersect_all(polys):
@@ -297,6 +317,102 @@ def hull_union(polys):
 # ---------------------------------------------------------------------------
 # Construction internals.
 # ---------------------------------------------------------------------------
+
+
+# Elements in each temporary of the array passes: ``_clip`` and
+# ``_max_dots`` take rows in blocks of BLOCK // width, so a pass over k
+# rows holds a few BLOCK-element arrays however large k is.  Chosen from
+# the time and peak-memory table in CHANGES.md: 2^14 was the fastest at
+# 64..1024 rows; smaller blocks were slower, and larger ones no faster
+# and up to 50x the peak memory at 1024 rows.
+BLOCK = 1 << 14
+
+
+def _clip(rows):
+    """Clip each row's boundary line by every other row, in one array pass.
+
+    Returns the lists lo, hi and pinned, one entry per row (pinned: an
+    opposite row touches the line), or None when an opposite row leaves
+    nothing between the two.  Row i against row j is the arithmetic of
+    ``from_halfplanes``' docstring, done in the same order:
+    a = n_j . d_i, b = c_j - n_j . p_i, with |a| <= TOL an opposite row,
+    a > TOL a bound b / a on hi and a < -TOL one on lo.  Ties keep the
+    first bound in row order, as a running ``min``/``max`` would.
+    """
+    k = len(rows)
+    normals = np.array([n for n, _ in rows])
+    offs = np.array([c for _, c in rows])
+    m0, m1 = normals[:, 0], normals[:, 1]
+    d0, p0, p1 = -m1, offs * m0, offs * m1
+    lo, hi, pinned = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    step = min(k, max(1, BLOCK // k))
+    a, b, t = np.empty((step, k)), np.empty((step, k)), np.empty((step, k))
+    mask = np.empty((step, k), dtype=bool)
+    with np.errstate(over="ignore"):
+        for s in range(0, k, step):
+            r = slice(s, min(s + step, k))
+            w = r.stop - s
+            A, B, T, M, at = a[:w], b[:w], t[:w], mask[:w], np.arange(w)
+            np.multiply(m0, d0[r, None], out=A)
+            np.multiply(m1, m0[r, None], out=T)
+            A += T
+            np.multiply(m0, p0[r, None], out=B)
+            np.multiply(m1, p1[r, None], out=T)
+            B += T
+            np.subtract(offs, B, out=B)
+            np.abs(A, out=T)
+            np.less_equal(T, TOL, out=M)
+            M[at, at + s] = False  # a row does not clip itself
+            if M.any():  # opposite rows, as _clean_rows merged the rest
+                i, j = np.divmod(np.flatnonzero(M), k)
+                slack = TOL * (1 + np.abs(offs[i + s]) + np.abs(offs[j]))
+                gap = B[i, j]
+                if (gap < -slack).any():
+                    return None
+                pinned[i[gap <= slack] + s] = True
+            np.greater(A, TOL, out=M)
+            T.fill(INF)
+            np.divide(B, A, out=T, where=M)
+            hi[r] = T[at, T.argmin(axis=1)]
+            np.less(A, -TOL, out=M)
+            T.fill(-INF)
+            np.divide(B, A, out=T, where=M)
+            lo[r] = T[at, T.argmax(axis=1)]
+    return lo.tolist(), hi.tolist(), pinned.tolist()
+
+
+def _generators(pts, rays):
+    """``pts`` then ``rays`` as the rows x and y of one float array, and the
+    number of points: the form ``_max_dots`` reads."""
+    return np.array([*pts, *rays], dtype=float).reshape(-1, 2).T.copy(), len(pts)
+
+
+def _max_dots(dirs, gens, npts):
+    """For each direction d, the largest d . v over the first ``npts``
+    columns v of ``gens``, or +inf when d . r > TOL for a later column r
+    (a ray): the support value of conv(points) + cone(rays), as an array,
+    over blocks of directions.  Ties keep the first maximum, as ``max``
+    does, so a zero keeps its sign."""
+    D = np.array(dirs, dtype=float).reshape(-1, 2)
+    out = np.empty(len(D))
+    step = max(1, BLOCK // gens.shape[1])
+    with np.errstate(over="ignore"):
+        for s in range(0, len(D), step):
+            dots = D[s : s + step, :1] * gens[0]
+            dots += D[s : s + step, 1:] * gens[1]
+            v = dots[:, :npts]
+            block = out[s : s + step]
+            block[:] = v[np.arange(len(v)), v.argmax(axis=1)]
+            if npts < gens.shape[1]:
+                block[(dots[:, npts:] > TOL).any(axis=1)] = INF
+    return out
+
+
+def _finite(p, what):
+    p = (float(p[0]), float(p[1]))
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError(f"generator {what} must be finite, got {p}")
+    return p
 
 
 def _clean_rows(halfplanes):

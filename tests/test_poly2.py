@@ -133,8 +133,22 @@ def test_rejects_non_finite_rows(hps):
 
 
 def test_rejects_non_finite_generators():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"generator vertex must be finite, got \(inf, 1\.0\)"):
         ConvexPoly2.from_generators([(0.0, 0.0), (math.inf, 1.0), (1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"generator ray must be finite, got \(1\.0, nan\)"):
+        ConvexPoly2.from_generators([(0.0, 0.0)], [(0.0, 1.0), (1.0, math.nan)])
+    with pytest.raises(ValueError, match=r"generator ray must be finite, got \(-inf, 0\.0\)"):
+        ConvexPoly2.from_generators([], [(-math.inf, 0.0)])
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-12])
+def test_generators_far_below_unit_size(s):
+    # the hull rounds, and an edge gives its normal, relative to the data's size
+    tri = [(0.0, 0.0), (1.0, 0.0), (0.3, 0.7)]
+    U = ConvexPoly2.from_generators(tri)
+    P = ConvexPoly2.from_generators([(s * x, s * y) for x, y in tri])
+    assert not P.empty and P.validate()
+    assert P.same_set(build([(n, s * c) for n, c in U.hs]))
 
 
 def _raw_margin(hps, p):
