@@ -16,12 +16,12 @@ a -> g*(a, 0) is the exact transform ``_pl_legendre`` of a
 piecewise-linear h into w -> sup_u (w*u - h(u)): Top outside the slope
 window set by h's infinite rays and otherwise the upper envelope of the
 lines w -> x_i*w - v_i through h's breakpoints.  That envelope is the
-lower convex hull of the breakpoints read in the dual, so the transform
-is built on ``functions._lower_hull``, the same hull stack as
-``closure_hull``, and takes the same array route when the chord slopes
-already rise (``functions.ARRAY_MIN_K``).  It serves ``conjugate_curve``,
-``biconjugate`` (which applies it twice) and ``subdiff_conjugate_check``
-(which probes many slopes of one function).
+lower convex hull of the breakpoints read in the dual: a convex h's own
+chord slopes (as arrays from ``functions.ARRAY_MIN_K`` breakpoints on),
+or ``functions._lower_hull``, the stack of ``closure_hull``, for a
+non-convex h.  It serves ``conjugate_curve``, ``biconjugate`` (which
+applies it twice) and ``subdiff_conjugate_check`` (which probes many
+slopes of one function).
 
 The infimal convolution of proper functions does not go through the
 transform: its epigraph is the Minkowski sum of the two epigraphs, so
@@ -33,9 +33,9 @@ merge in a two-pointer walk, large ones by ``searchsorted`` ranks; both
 give the same vertices.
 
 Point queries on a convex ``PLProper`` (``dirderiv``,
-``subdiff_extended``, ``is_subgradient``) cost O(log k): the function
-keeps its convexity (``PLProper.is_convex``) after the first ask, and
-the sup behind the subgradient test bisects on chord slopes.  Grid
+``subdiff_extended``, ``is_subgradient``) cost O(log k): the
+constructor decides convexity (``PLProper.is_convex``) once, and the
+sup behind the subgradient test bisects on chord slopes.  Grid
 oracles that check this module evaluate many points at once with
 ``UpFunction.eval_many``, which returns the float64 encoding (Top =
 +inf, Bottom = -inf) that ``extreal``'s ``*_arr`` operations take.
@@ -70,7 +70,6 @@ from .functions import (
     _chords,
     _lower_hull,
     _require_finite,
-    _rising_chords,
     affine_eval,
     improper_split,
 )
@@ -209,8 +208,8 @@ def is_subgradient(g, x0, xi):
     function through (x0, g(x0)) with slope a stays below g, which is
     the conjugate inequality sup(a*x - g(x)) <= a*x0 - g(x0).  The sup
     is :func:`_sup_linear_minus`, which bisects on the chord slopes of a
-    convex g (a non-convex g is rejected here); with convexity cached on
-    g, a call costs O(log k).
+    convex g (a non-convex g is rejected here), so a call costs
+    O(log k).
 
     A hat is a member iff :func:`subdiff_extended` lists its canonical
     slope, so the hat rule is written once, there; the grid oracles in
@@ -256,8 +255,8 @@ def _sup_linear_minus(g, a):
     fly.  Near a tie the rounded terms of neighbouring breakpoints can
     come out ahead, so the answer is the max of a*x - v over the
     breakpoints within 2 of m, which rounds as the full max does:
-    O(log k) per call once convexity is cached.  A non-convex g takes
-    the max over every breakpoint.
+    O(log k) per call.  A non-convex g takes the max over every
+    breakpoint.
     """
     if isinstance(g, ImproperSplit):
         return -INF if g.dom() is None else INF
@@ -289,16 +288,17 @@ def _pl_legendre(f):
     the breakpoints, and two neighbours (x0, v0), (x1, v1) cross at their
     chord slope s = (v1 - v0) / (x1 - x0) with value x0*s - v0; the end
     lines give the end slopes.  An empty window, which only a non-convex
-    f can produce, means the transform is Top everywhere.
+    f can produce, means the transform is Top everywhere.  A convex f is
+    its own lower hull; only a non-convex f runs the hull stack.
     """
     w_lo, w_hi = f.slope_window()
     if w_lo > w_hi:
         return ConstTop()
-    if len(f.xs) >= ARRAY_MIN_K and (whole := _rising_chords(f.xs, f.vs)):
-        # every point is a hull vertex; x*w - v rounds twice, as below
-        x, v, ws = whole
+    if f.is_convex() and len(f.xs) >= ARRAY_MIN_K:
+        # every breakpoint is a hull vertex; x*w - v rounds twice, as below
+        x, v, ws = _chords(f.xs, f.vs)
         return PLProper(ws.tolist(), (x[:-1] * ws - v[:-1]).tolist(), f.xs[0], f.xs[-1], w_lo, w_hi)
-    xs, vs, ws = _lower_hull(f.xs, f.vs)
+    xs, vs, ws = (f.xs, f.vs, f.segment_slopes()) if f.is_convex() else _lower_hull(f.xs, f.vs)
     if not ws:
         return PLProper([0.0], [-vs[0]], xs[0], xs[0], w_lo, w_hi)
     return PLProper(ws, [x * w - v for x, v, w in zip(xs, vs, ws)], xs[0], xs[-1], w_lo, w_hi)

@@ -51,19 +51,20 @@ INF = math.inf
 COLLINEAR_TOL = 1e-12
 
 # The size rule of the O(k) passes: from this many breakpoints on, the
-# constructor's prune, ``is_convex``, the hull passes of ``closure_hull``
-# and ``calculus._pl_legendre``, and ``calculus._epigraph_sum`` (both
-# operands counted) first compute their chord slopes as float64 arrays
-# (:func:`_chords`).  When the arrays show that the stack loop would pop
-# nothing, the pass is done in numpy; otherwise the loop runs as below
-# the rule.  Both routes round every number alike, so the output is the
-# same bit for bit.  Below the rule a pass costs one extra size
-# comparison.  Crossover on 2 vCPU, convex random-slope data, best of 5:
-# at k = 4 and 16 every array route is 1.5-8x slower; at 64 the
-# constructor and hull passes break even while ``is_convex`` and the
-# merge are still up to 2x slower; at 256 every route but the merge is
-# 1.2-1.9x faster, and the merge breaks even at about 384 breakpoints
-# in all.  So the rule sits at 256.
+# constructor's prune and convexity test, the transform values of a
+# convex function in ``calculus._pl_legendre``, and
+# ``calculus._epigraph_sum`` (both operands counted) compute their chord
+# slopes as float64 arrays (:func:`_chords`).  The prune skips its stack
+# loop when the arrays show that it would pop nothing; otherwise the loop
+# runs as below the rule.  Both routes round every number alike, so the
+# output is the same bit for bit.  The rule only picks array or list
+# arithmetic; whether a hull pass runs is decided by convexity alone.
+# Below the rule a pass costs one extra size comparison.  Crossover on
+# 2 vCPU, convex random-slope data, best of 5: at k = 4 and 16 every
+# array route is 1.5-8x slower; at 64 the constructor and the transform
+# break even while the merge is still up to 2x slower; at 256 every
+# route but the merge is 1.2-1.9x faster, and the merge breaks even at
+# about 384 breakpoints in all.  So the rule sits at 256.
 ARRAY_MIN_K = 256
 
 
@@ -248,6 +249,7 @@ class PLProper(UpFunction):
       finite domain bounds are folded into the breakpoint list;
     * ``slope_left`` is present iff ``dom_lo`` is -inf, ``slope_right``
       iff ``dom_hi`` is +inf;
+    * every chord slope finite (an overflow raises, naming the chord);
     * no two neighbouring slopes (:meth:`all_slopes`) within
       COLLINEAR_TOL of each other, except the two end slopes of an
       affine function, which has its one breakpoint at x = 0.
@@ -260,19 +262,18 @@ class PLProper(UpFunction):
 
     ``xs`` and ``vs`` are never mutated after construction: every
     operation builds new lists, so anything derived from them stays
-    valid for the instance's lifetime.  :meth:`is_convex` relies on
-    that: its slope pass runs on the first call and leaves one bool on
-    the instance, so repeated queries on one function (``dirderiv``,
-    ``is_subgradient``, ``infconv``) pay the O(k) pass once.
+    valid for the instance's lifetime.  The constructor decides
+    convexity from the chord slopes its prune holds and stores one bool
+    for :meth:`is_convex`, which picks every hull route: a convex
+    function is its own hull, and only a non-convex one runs the stack.
 
-    Both O(k) slope passes follow the size rule ARRAY_MIN_K.  From that
-    many breakpoints on, the constructor computes the chord slopes as an
-    array and skips its prune stack when no two neighbours lie within
-    COLLINEAR_TOL, because the stack would pop nothing; :meth:`is_convex`
-    runs its test on the array.  Measured on convex random-slope data
-    (2 vCPU), the constructor's array route is even with the stack at
-    k = 64, 1.6x faster at 256 and 2.5x at 10^5; :meth:`is_convex`'s
-    is 1.8x slower at 64, 1.2x faster at 256 and 2.7x at 10^5.
+    The constructor's slope pass follows the size rule ARRAY_MIN_K.
+    From that many breakpoints on, it computes the chord slopes as an
+    array, skips its prune stack when no two neighbours lie within
+    COLLINEAR_TOL, because the stack would pop nothing, and tests the
+    slopes on the array.  Measured on convex random-slope data (2 vCPU),
+    the array route is even with the stack at k = 64, 1.6x faster at
+    256 and 2.5x at 10^5.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
@@ -323,36 +324,53 @@ class PLProper(UpFunction):
 
         # drop collinear interior breakpoints in one pass: the stack holds a
         # prefix with none left, so a deletion only exposes the triple that
-        # ends at the incoming point; ps[k] is the chord slope from px[k].
+        # ends at the incoming point; s[k] is the chord slope from xs[k].
         # It pops nothing when no two neighbouring chord slopes are within
         # COLLINEAR_TOL, which the size rule checks on arrays first
-        if len(xs) < ARRAY_MIN_K or _any_within_tol(_chords(xs, vs)[2]):
-            px, pv, ps = xs[:1], vs[:1], []
+        if len(xs) < ARRAY_MIN_K or _any_within_tol(s := _chords(xs, vs)[2]):
+            px, pv, s = xs[:1], vs[:1], []
             for x, v in zip(islice(xs, 1, None), islice(vs, 1, None)):
                 s1 = (v - pv[-1]) / (x - px[-1])
-                while ps and abs(ps[-1] - s1) <= COLLINEAR_TOL:
-                    ps.pop()
+                while s and abs(s[-1] - s1) <= COLLINEAR_TOL:
+                    s.pop()
                     px.pop()
                     pv.pop()
                     s1 = (v - pv[-1]) / (x - px[-1])
-                ps.append(s1)
+                s.append(s1)
                 px.append(x)
                 pv.append(v)
             xs, vs = px, pv
         # then end breakpoints that sit on the continuation of the adjacent
         # infinite ray; removing one creates no new interior triple
-        while len(xs) >= 2:
-            if sl is not None and abs(sl - (vs[1] - vs[0]) / (xs[1] - xs[0])) <= COLLINEAR_TOL:
-                del xs[0], vs[0]
-            elif sr is not None and abs(sr - (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) <= COLLINEAR_TOL:
-                del xs[-1], vs[-1]
+        i, j = 0, len(xs)
+        while j - i >= 2:
+            if sl is not None and abs(sl - s[i]) <= COLLINEAR_TOL:
+                i += 1
+            elif sr is not None and abs(sr - s[j - 2]) <= COLLINEAR_TOL:
+                j -= 1
             else:
                 break
+        if j - i < len(xs):
+            xs, vs, s = xs[i:j], vs[i:j], s[i : j - 1]
+        if isinstance(s, np.ndarray):
+            finite, rising = bool(np.isfinite(s).all()), bool((s[1:] > s[:-1]).all())
+        else:
+            finite, rising = all(map(math.isfinite, s)), _strictly_increasing(s)
+        if not finite:
+            i = next(k for k, t in enumerate(s) if not math.isfinite(t))
+            raise ValueError(f"the chord from breakpoint x = {xs[i]!r} to x = {xs[i + 1]!r} has slope {s[i]}")
         # an affine function has no distinguished breakpoint: anchor it at
         # +0.0 (x = -0.0 counts as +0.0, so an anchored function anchors to
         # itself bit for bit, -0.0 values included)
-        if len(xs) == 1 and sl is not None and sr is not None and abs(sl - sr) <= COLLINEAR_TOL:
+        affine = len(xs) == 1 and sl is not None and sr is not None and abs(sl - sr) <= COLLINEAR_TOL
+        if affine:
             xs, vs = [0.0], [vs[0] - sl * (xs[0] or 0.0)]
+        # of sl, s, sr only an affine function's two can now lie within
+        # COLLINEAR_TOL, so the function is convex iff they strictly rise or it is affine
+        if len(s):
+            convex = rising and (sl is None or sl < s[0]) and (sr is None or s[-1] < sr)
+        else:
+            convex = affine or sl is None or sr is None or sl < sr
 
         self.xs = xs
         self.vs = vs
@@ -360,7 +378,7 @@ class PLProper(UpFunction):
         self.slope_right = sr
         self.dom_lo = dom_lo
         self.dom_hi = dom_hi
-        self._convex = None  # is_convex(), once asked
+        self._convex = bool(convex)
 
     # -- construction ---------------------------------------------------------
 
@@ -433,23 +451,9 @@ class PLProper(UpFunction):
     def is_convex(self):
         """Whether no slope (:meth:`all_slopes`) falls below the one before by more than COLLINEAR_TOL.
 
-        Computed once per instance.  The constructor prunes every slope
-        change within COLLINEAR_TOL, by the same test, so a convex
-        function's slopes strictly rise, except the two end slopes of an
-        affine one.
+        Decided by the constructor, which prunes every smaller slope
+        change: the slopes strictly rise, or are an affine function's two.
         """
-        if self._convex is None:
-            if len(self.xs) >= ARRAY_MIN_K:
-                lo = [] if self.slope_left is None else [self.slope_left]
-                hi = [] if self.slope_right is None else [self.slope_right]
-                s = np.concatenate((lo, _chords(self.xs, self.vs)[2], hi))
-                with np.errstate(invalid="ignore"):
-                    self._convex = bool(((s[1:] > s[:-1]) | (abs(s[:-1] - s[1:]) <= COLLINEAR_TOL)).all())
-            else:
-                s = self.all_slopes()
-                self._convex = _strictly_increasing(s) or all(
-                    b > a or abs(a - b) <= COLLINEAR_TOL for a, b in zip(s, s[1:])
-                )
         return self._convex
 
     def _piece_slope(self, i):
@@ -562,11 +566,8 @@ def _lower_hull(xs, vs):
     clips this hull to the slope window; ``calculus._pl_legendre`` reads
     it in the dual, where hs are the conjugate's breakpoints.
 
-    This stack is the general route and the reference.  From
-    ARRAY_MIN_K points on, both callers first ask :func:`_rising_chords`
-    and skip it when the input would come back whole.  On convex
-    random-slope data (2 vCPU) that makes ``closure_hull`` about even at
-    k = 64, 1.8x faster at 256 and 2.7x at 10^5.
+    Only non-convex input runs it: both callers read a convex function,
+    which the stack would return whole, directly.
     """
     hx, hv, hs = xs[:1], vs[:1], []
     for x, v in zip(islice(xs, 1, None), islice(vs, 1, None)):
@@ -582,16 +583,6 @@ def _lower_hull(xs, vs):
     return hx, hv, hs
 
 
-def _rising_chords(xs, vs):
-    """:func:`_chords` of the points when their chord slopes strictly rise, else None.
-
-    Rising chord slopes are exactly the case where :func:`_lower_hull`
-    pops nothing and returns the points whole, with hs = s.
-    """
-    x, v, s = _chords(xs, vs)
-    return (x, v, s) if (s[1:] > s[:-1]).all() else None
-
-
 def closure_hull(f):
     """Closed convex hull: the function whose epigraph is cl co(epi f).
 
@@ -605,6 +596,8 @@ def closure_hull(f):
     Geometrically that is the lower convex hull of the breakpoints with
     its end slopes clipped to the window; an empty window means no
     affine minorant exists at all and the hull collapses to ConstBottom.
+    A convex f with a nonempty window is its own hull and comes back
+    as is.
     """
     if isinstance(f, ImproperSplit):
         return f
@@ -614,10 +607,9 @@ def closure_hull(f):
     a_lo, a_hi = f.slope_window()
     if a_lo > a_hi:
         return ConstBottom()
-    if len(f.xs) >= ARRAY_MIN_K and (whole := _rising_chords(f.xs, f.vs)):
-        xs, vs, ss = f.xs, f.vs, whole[2]
-    else:
-        xs, vs, ss = _lower_hull(f.xs, f.vs)
+    if f.is_convex():
+        return f
+    xs, vs, ss = _lower_hull(f.xs, f.vs)
     # an end vertex on or above the window's ray drawn from its neighbour
     # is not a hull vertex; clip those by moving the two end indices
     i, j = 0, len(xs)

@@ -25,14 +25,15 @@ h_{A+B} = h_A + h_B, and ``validate`` rebuilds the set from ``hs``.
 
 The two all-pairs steps run as numpy passes: ``_clip`` clips all k rows
 against each other (k^2 row pairs), and ``_max_dots`` takes the support
-values of many directions over all vertices at once; ``support``,
-``minkowski`` and ``from_generators`` all read it.  Both do the scalar
-arithmetic of a per-row loop in the same order, so their results are
-those of the loop bit for bit (``tests/test_poly2_arrays.py`` holds the
-loops).  Both take their rows in blocks of at most ``BLOCK`` pairs, so
-that their temporaries stay at a few ``BLOCK``-element arrays for any
-number of rows; the value comes from a measured time and peak-memory
-table (CHANGES.md).
+values of many directions over all vertices at once; ``supports`` (the
+batch query under ``support``, ``minkowski`` and ``setvalued.residual``)
+and ``from_generators`` read it.  Both do the scalar arithmetic of a
+per-row loop in the same order, so their results are those of the loop
+bit for bit (``tests/test_poly2_arrays.py`` holds the loops).  Both
+take their rows in blocks of at most ``BLOCK`` pairs, so that their
+temporaries stay at a few ``BLOCK``-element arrays for any number of
+rows; the value comes from a measured time and peak-memory table
+(CHANGES.md).
 """
 
 from __future__ import annotations
@@ -249,9 +250,13 @@ class ConvexPoly2:
     def support(self, d):
         """sup of d . z over the set; -inf when empty, +inf when a
         recession ray points along d."""
+        return self.supports([d])[0]
+
+    def supports(self, dirs):
+        """``support`` of each direction in ``dirs``, as a list, in one array pass."""
         if self.empty:
-            return -INF
-        return float(_max_dots([d], *self._gens)[0])
+            return [-INF] * len(dirs)
+        return _max_dots(dirs, *self._gens).tolist()
 
     @cached_property
     def _gens(self):
@@ -291,7 +296,7 @@ class ConvexPoly2:
         if self.empty or other.empty:
             return ConvexPoly2.empty_set()
         dirs = [n for n, _ in self.hs + other.hs]
-        h = zip(dirs, _max_dots(dirs, *self._gens).tolist(), _max_dots(dirs, *other._gens).tolist())
+        h = zip(dirs, self.supports(dirs), other.supports(dirs))
         return ConvexPoly2.from_halfplanes([(n, a + b) for n, a, b in h if a + b < INF])
 
 

@@ -126,7 +126,7 @@ def residual(a, b):
         return UpperSet(ConvexPoly2.plane(), C)
     if A.empty:
         return a
-    rows = [(n, c - B.support(n)) for n, c in A.hs]
+    rows = [(n, c - h) for (n, c), h in zip(A.hs, B.supports([n for n, _ in A.hs]))]
     if any(c == -INF for _, c in rows):
         return UpperSet(ConvexPoly2.empty_set(), C)
     return UpperSet(ConvexPoly2.from_halfplanes(rows), C)

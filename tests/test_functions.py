@@ -14,12 +14,14 @@ Independent routes used as oracles:
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import infsup.calculus as calculus
 import infsup.extreal as xr
 import infsup.functions as functions
 from infsup.extreal import UpReal, up
@@ -50,6 +52,7 @@ from infsup.laws import (
     random_nonconvex_pl,
     random_pl,
 )
+from test_size_rule import _single_inputs
 
 INF = math.inf
 TOP = UpReal.top()
@@ -473,10 +476,10 @@ def test_nonconvex_generator_always_detected():
         assert not definitional_convex(f, rng)
 
 
-def _uncached_convex(f):
-    """The slope rule, recomputed: no slope falls below the one before by more than COLLINEAR_TOL."""
+def _slope_rule(f):
+    """The slope rule, recomputed from all_slopes: no slope falls below the one before by more than COLLINEAR_TOL."""
     s = f.all_slopes()
-    return all(a - b <= COLLINEAR_TOL for a, b in zip(s, s[1:]))
+    return all(map(operator.lt, s, s[1:])) or all(b > a or abs(a - b) <= COLLINEAR_TOL for a, b in zip(s, s[1:]))
 
 
 def _non_canonical_inputs():
@@ -520,18 +523,45 @@ def test_constructor_canonicalizes_like_make():
         assert _stored_bits(again) == _stored_bits(f), repr(f)
 
 
-def test_cached_convexity_is_the_slope_rule():
+def _convexity_edge_cases():
+    """Constructor arguments at the edges of the convexity decision."""
+    k = functions.ARRAY_MIN_K + 44
+    return [
+        ([0.3], [0.7], 1.0, 1.0 + 2.0**-44, -INF, INF),  # affine within COLLINEAR_TOL, rising
+        ([0.3], [0.7], 1.0 + 2.0**-44, 1.0, -INF, INF),  # affine within COLLINEAR_TOL, falling
+        ([1.0], [2.0], None, None, 1.0, 1.0),  # a single point
+        ([0.0], [0.0], -1.0, 1.0, -INF, INF),
+        ([0.0], [0.0], 1.0, -1.0, -INF, INF),
+        ([0.0], [0.0], None, 1.0, 0.0, INF),  # one breakpoint, bounded on the left
+        ([0.0], [0.0], -1.0, None, -INF, 0.0),
+        ([0.0, 1.0], [0.0, 1.0], None, 2.0, 0.0, INF),  # one bounded side
+        ([0.0, 1.0], [0.0, 1.0], None, 0.5, 0.0, INF),
+        ([0.0, 1.0], [0.0, 1.0], -1.0, None, -INF, 1.0),
+        ([0.0, 1.0], [0.0, 1.0], 2.0, None, -INF, 1.0),
+        # raw collinear input: the end prune trims both ends down to one kink
+        ([0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -2.0, 0.0], -1.0, 2.0, -INF, INF),
+        # the same past the size rule, where no interior pair is collinear
+        (list(range(k)), [i * i for i in range(k)], 1.0, 2.0 * k - 3.0, -INF, INF),
+        (list(range(k)), [i * i for i in range(k)], 1.0, 1.0, -INF, INF),
+    ]
+
+
+def _convexity_sample():
+    """PLProper instances from the laws generators, the size-rule inputs and the edge cases."""
     rng = np.random.default_rng(2031)
     fns = [random_closed_convex_fn(rng) for _ in range(80)] + [random_pl(rng) for _ in range(80)]
-    fns += [random_nonconvex_pl(rng) for _ in range(40)] + [PLProper(*a) for a in _non_canonical_inputs()]
+    fns += [random_nonconvex_pl(rng) for _ in range(40)]
+    args = _non_canonical_inputs() + _convexity_edge_cases()
+    for k in (2, 16, functions.ARRAY_MIN_K, 2000):
+        args += _single_inputs(k).values()
+    return [f for f in fns if isinstance(f, PLProper)] + [PLProper(*a) for a in args]
+
+
+def test_cached_convexity_is_the_slope_rule():
     seen = set()
-    for f in fns:
-        if not isinstance(f, PLProper):
-            assert f.is_convex()
-            continue
-        want = _uncached_convex(f)
-        for _ in range(2):
-            assert f.is_convex() == want, repr(f)
+    for f in _convexity_sample():
+        want = _slope_rule(f)
+        assert f.is_convex() is want, repr(f)
         # canonical form: a convex function's slopes strictly rise, unless it is affine
         s = f.all_slopes()
         rising = all(a < b for a, b in zip(s, s[1:]))
@@ -541,32 +571,58 @@ def test_cached_convexity_is_the_slope_rule():
     assert seen == {(False, False), (True, True), (True, False)}
 
 
-def test_convexity_is_computed_once_per_instance(monkeypatch):
-    # a slope pass is all_slopes below the size rule and _chords from it on
-    calls = []
-    all_slopes, chords = PLProper.all_slopes, functions._chords
-    monkeypatch.setattr(PLProper, "all_slopes", lambda self: calls.append(self) or all_slopes(self))
-    monkeypatch.setattr(functions, "_chords", lambda xs, vs: calls.append(xs) or chords(xs, vs))
+def test_convex_functions_are_their_own_lower_hull():
+    n_convex = 0
+    for f in _convexity_sample():
+        if not f.is_convex():
+            continue
+        n_convex += 1
+        # the hull stack, which convex input skips, would return it whole
+        assert functions._lower_hull(f.xs, f.vs) == (f.xs, f.vs, f.segment_slopes()), repr(f)
+        lo, hi = f.slope_window()
+        assert closure_hull(f) is f if lo <= hi else isinstance(closure_hull(f), ConstBottom), repr(f)
+    assert n_convex > 100
+    # an affine pair falling within COLLINEAR_TOL is convex, but admits no affine minorant
+    f = PLProper([0.3], [0.7], 1.0 + 2.0**-44, 1.0)
+    assert f.is_convex() and isinstance(closure_hull(f), ConstBottom)
+
+
+def _query_sample():
+    """Small and large functions, convex and not, the last two past the size rule."""
     rng = np.random.default_rng(2032)
     k = functions.ARRAY_MIN_K
     fns = [random_convex_pl(rng), random_nonconvex_pl(rng), *(PLProper(*a) for a in _non_canonical_inputs())]
-    fns += [pl([(i, i * i) for i in range(k)], -1.0, 2.0 * k), pl([(i, i % 2) for i in range(k)], -2.0, 2.0)]
-    for f in fns:
-        calls.clear()
-        first = f.is_convex()
-        assert calls == [f.xs if len(f.xs) >= k else f]
-        for _ in range(3):
-            assert f.is_convex() == first
-        assert len(calls) == 1
-    assert [f.is_convex() for f in fns[-2:]] == [True, False]
-    # the queries ask the instance, so repeated ones share the pass too
-    g = pl([(0.0, 0.0), (1.0, 0.5), (3.0, 4.0)], -1.0, 3.0)
-    calls.clear()
-    for x0 in (0.0, 0.5, 2.0):
-        dirderiv(g, x0, 1.0)
-        is_subgradient(g, x0, DualElem.proper(1.0))
-        infconv(g, g)
-    assert calls == [g]
+    return fns + [pl([(i, i * i) for i in range(k)], -1.0, 2.0 * k), pl([(i, i % 2) for i in range(k)], -2.0, 2.0)]
+
+
+def test_convexity_is_decided_at_construction(monkeypatch):
+    rule = [_slope_rule(f) for f in _query_sample()]
+    # small convex operands, which merge in the walk (it reads segment_slopes)
+    pairs = [(i, j) for i in range(len(rule) - 2) for j in range(len(rule) - 2) if rule[i] and rule[j]]
+    assert rule[-2:] == [True, False] and len(pairs) >= 9
+
+    def queries(fns):
+        out = [f.is_convex() for f in fns]
+        for f in fns:
+            x = f.xs[len(f.xs) // 2]
+            for q in (lambda: dirderiv(f, x, 1.0), lambda: is_subgradient(f, x, DualElem.proper(0.5))):
+                try:
+                    out.append(q())
+                except ValueError as e:
+                    out.append(str(e))
+        return out + [infconv(fns[i], fns[j]) for i, j in pairs]
+
+    want = queries(_query_sample())
+    assert want[: len(rule)] == rule
+    fns = _query_sample()
+
+    def no_pass(*args):
+        raise AssertionError("a slope pass after construction")
+
+    monkeypatch.setattr(PLProper, "all_slopes", no_pass)
+    for module in (functions, calculus):
+        monkeypatch.setattr(module, "_chords", no_pass)
+    assert queries(fns) == want
 
 
 def test_cached_false_still_raises():

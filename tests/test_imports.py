@@ -5,6 +5,12 @@ import behind keeps the removed concept in the module's namespace, so
 this scan fails on it; a name counts as used when it appears as an
 identifier anywhere in the module.
 
+Every private function, class and method (a name with a leading
+underscore, dunders excluded) is referenced somewhere in the package.
+A helper whose last caller went away is dead code, and the scan fails
+on it; a reference is a name or an attribute with the helper's name in
+any module, so an import alone does not count.
+
 No module holds an ``assert`` statement or reads ``__debug__``.
 ``python -O`` strips both, so a library check resting on either would
 vanish there; the scan proves their absence for every line, reached by
@@ -61,3 +67,36 @@ def test_scan_finds_debug_only_checks():
 def test_package_has_no_debug_only_checks():
     found = {p.name: debug_only_lines(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unreferenced_private_defs(sources):
+    """(module, name) of each private def or class in ``sources`` (name -> source) that no module references."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted(
+        (module, n.name)
+        for module, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and n.name.startswith("_")
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and n.name not in used
+    )
+
+
+def test_scan_finds_an_unreferenced_private_def():
+    a = "def _used(x):\n    return x\n\ndef _dead():\n    pass\n\nclass _Gone:\n    def __init__(self):\n        pass\n"
+    b = "from a import _used, _dead\n\nclass C:\n    def _m(self):\n        return _used(self._n())\n\n    def _n(self):\n        pass\n"
+    assert unreferenced_private_defs({"a": a, "b": b}) == [("a", "_Gone"), ("a", "_dead"), ("b", "_m")]
+    assert unreferenced_private_defs({"a": a + "_dead, _Gone\n", "b": b + "C()._m()\n"}) == []
+
+
+def test_package_has_no_unreferenced_private_defs():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

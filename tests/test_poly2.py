@@ -304,28 +304,41 @@ def test_hull_drops_points_within_tolerance_of_an_edge_at_every_scale():
         assert counts == [3, 5], s
 
 
+def _summed(A, B):
+    """h_A + h_B over DIRS."""
+    return [a + b for a, b in zip(A.supports(DIRS), B.supports(DIRS))]
+
+
+def test_supports_is_support_per_direction():
+    rng = np.random.default_rng(1012)
+    dirs = DIRS + [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0)] + [tuple(d) for d in rng.normal(size=(16, 2))]
+    for P in DEGENERATE_POLYS + FLAT_POLYS + [ConvexPoly2.empty_set()]:
+        got = P.supports(dirs)
+        assert type(got) is list and all(type(h) is float for h in got)
+        assert got == [P.support(d) for d in dirs], P
+        assert P.supports([]) == []
+
+
 def test_support_identities():
     rng = np.random.default_rng(1011)
     for A in DEGENERATE_POLYS:
         for B in DEGENERATE_POLYS:
             if not (A.empty or B.empty):
                 S = A.minkowski(B)
-                assert all(_close(S.support(d), A.support(d) + B.support(d)) for d in DIRS), (A, B)
+                assert all(map(_close, S.supports(DIRS), _summed(A, B))), (A, B)
     for _ in range(40):
         ops = _operands(rng)
         polys = [build(hps) for hps, _ in ops]
         for (hps, verts), P in zip(ops, polys):
             if verts is not None:
-                for d in DIRS:
-                    want = float(np.max(verts @ np.asarray(d)))
-                    assert P.support(d) == pytest.approx(want, abs=1e-9)
+                want = (verts @ np.asarray(DIRS).T).max(axis=0)
+                assert P.supports(DIRS) == pytest.approx(want.tolist(), abs=1e-9)
         for A in polys:
             for B in polys:
                 S, H = A.minkowski(B), hull_union([A, B])
                 assert S.validate() and H.validate()
-                for d in DIRS:
-                    assert _close(S.support(d), A.support(d) + B.support(d))
-                    assert _close(H.support(d), max(A.support(d), B.support(d)))
+                assert all(map(_close, S.supports(DIRS), _summed(A, B)))
+                assert all(map(_close, H.supports(DIRS), map(max, A.supports(DIRS), B.supports(DIRS))))
         I = intersect_all(polys[:2] + polys[2:3])
         assert I.validate()
         for p in rng.uniform(-2.5, 2.5, size=(64, 2)):

@@ -1,21 +1,25 @@
 """The size rule: array routes against the stack loops, bit for bit.
 
-From ``functions.ARRAY_MIN_K`` breakpoints on, the constructor's prune,
-``is_convex``, the hull passes and the epigraph merge read their chord
-slopes as float64 arrays, and skip the stack loop when the arrays show
-that it would pop nothing.  The stack loops are the reference: raising
-the constant above every size forces them, and every output must then
-read the same, by full ``repr``, exceptions included.
+From ``functions.ARRAY_MIN_K`` breakpoints on, the constructor's prune
+and convexity test, the transform values of a convex function and the
+epigraph merge read their chord slopes as float64 arrays; the prune
+skips its stack loop when the arrays show that it would pop nothing.
+The stack loops are the reference: raising the constant above every
+size forces them, and every output must then read the same, by full
+``repr``, exceptions included.  The size rule never decides whether a
+hull pass runs: only a non-convex function runs the hull stack, at
+every size.
 
 The inputs make every fallback fire at large k: raw data with exactly
 collinear midpoints (the prune pops), a convex function with one slope
-descent (the hull pops), non-convex data, and two consecutive infinite
-chord slopes (equal as computed, so the hull pops).  The convolution
-pairs have exactly tied chord slopes, L and R cuts that drop chords at
-both ends, an R that ties a chord exactly, and two right-bounded
-operands (R = +inf).  Values sit near 1e6, so that sums round and a
-vertex placed by a wrong tie order survives the prune.
+descent (the hull pops) and non-convex data.  The convolution pairs
+have exactly tied chord slopes, L and R cuts that drop chords at both
+ends, an R that ties a chord exactly, and two right-bounded operands
+(R = +inf).  Values sit near 1e6, so that sums round and a vertex
+placed by a wrong tie order survives the prune.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -63,13 +67,6 @@ def _single_inputs(k):
     d[k // 2 + 1] = d[k // 2] - 1e-9
     out["one-descent"] = _args(x, _values(x, d), d[0], d[-1])
     out["non-convex"] = _args(x, _values(x, rng.uniform(-50.0, 50.0, k + 1)), -60.0, 60.0)
-    if k >= 3:
-        # the last two chords overflow to +inf; inf - inf is nan, so the
-        # prune keeps both, and the hull pops the vertex between them
-        xi, vi = x.copy(), v.copy()
-        xi[-2:] = xi[-3] + np.array([1e-10, 2e-10])
-        vi[-2:] = [1e300, 1.5e300]
-        out["infinite-chords"] = _args(xi, vi, s[0], s[-1], -INF, float(xi[-1]))
     return out
 
 
@@ -106,9 +103,10 @@ def _read(op, *args):
 
 
 def _outputs(k):
-    out = {}
+    """The outputs by input name, and the single-input functions by name."""
+    out, fns = {}, {}
     for name, args in _single_inputs(k).items():
-        f = PLProper(*args)
+        f = fns[name] = PLProper(*args)
         out[name] = (
             repr(f),
             f.is_convex(),
@@ -119,15 +117,16 @@ def _outputs(k):
     for name, (f, g) in _pairs(k).items():
         assert f.is_convex() and g.is_convex(), name
         out["infconv-" + name] = (_read(infconv, f, g), _read(infconv, g, f))
-    return out
+    return out, fns
 
 
-def _record(monkeypatch, name, seen):
+def _record(monkeypatch, name, sink):
+    """Wrap the helper ``name`` in both modules so that each call also runs sink(args, output)."""
     inner = getattr(functions, name)
 
     def recorded(*args):
         out = inner(*args)
-        seen.add((name, out is not None and out is not False))
+        sink(args, out)
         return out
 
     monkeypatch.setattr(functions, name, recorded)
@@ -137,14 +136,36 @@ def _record(monkeypatch, name, seen):
 
 @pytest.mark.parametrize("k", sorted({2, 16, ARRAY_MIN_K - 1, ARRAY_MIN_K, 256, 10**4}))
 def test_array_routes_match_the_stack_bit_for_bit(k, monkeypatch):
-    seen = set()
+    within, hulled = set(), []
     with monkeypatch.context() as m:
-        _record(m, "_any_within_tol", seen)
-        _record(m, "_rising_chords", seen)
-        fast = _outputs(k)
+        _record(m, "_any_within_tol", lambda args, out: within.add(out))
+        _record(m, "_lower_hull", lambda args, out: hulled.append(args[0]))
+        fast, fns = _outputs(k)
+    assert {f.is_convex() for f in fns.values()} == {True, False}
+    # the hull stack runs on the breakpoints of the non-convex inputs and on nothing else
+    assert {id(xs) for xs in hulled} == {id(f.xs) for f in fns.values() if not f.is_convex()}
     if k >= ARRAY_MIN_K:
-        # each array test both skipped its stack and fell back to it
-        assert seen == {(n, b) for n in ("_any_within_tol", "_rising_chords") for b in (True, False)}
+        # the prune's array test both skipped its stack and fell back to it
+        assert within == {True, False}
     for module in (functions, calculus):
         monkeypatch.setattr(module, "ARRAY_MIN_K", 10**9)
-    assert _outputs(k) == fast
+    assert _outputs(k)[0] == fast
+
+
+def test_an_infinite_chord_slope_is_rejected(monkeypatch):
+    # the last two chords of a convex function overflow to +inf; the
+    # array route rejects them, and so does the stack route, forced after
+    k = ARRAY_MIN_K
+    rng = np.random.default_rng(k)
+    x = _points(rng, k)
+    s = np.sort(rng.uniform(-50.0, 50.0, k + 1))
+    v = _values(x, s)
+    x[-2:] = x[-3] + np.array([1e-10, 2e-10])
+    v[-2:] = [1e300, 1.5e300]
+    args = _args(x, v, s[0], s[-1], -INF, float(x[-1]))
+    message = re.escape(f"chord from breakpoint x = {float(x[-3])!r} to x = {float(x[-2])!r} has slope inf")
+    with pytest.raises(ValueError, match=message):
+        PLProper(*args)
+    monkeypatch.setattr(functions, "ARRAY_MIN_K", 10**9)
+    with pytest.raises(ValueError, match=message):
+        PLProper(*args)
