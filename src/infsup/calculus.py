@@ -35,10 +35,10 @@ give the same vertices.
 Point queries on a convex ``PLProper`` (``dirderiv``,
 ``subdiff_extended``, ``is_subgradient``) cost O(log k): the
 constructor decides convexity (``PLProper.is_convex``) once, and the
-sup behind the subgradient test bisects on chord slopes.  Grid
-oracles that check this module evaluate many points at once with
-``UpFunction.eval_many``, which returns the float64 encoding (Top =
-+inf, Bottom = -inf) that ``extreal``'s ``*_arr`` operations take.
+sup behind the subgradient test bisects on chord slopes.  The grid
+oracles that check this module take a function's values from its
+fields alone (breakpoints, end slopes, domain), not from this package's
+evaluators, so they share no code with what they check.
 """
 
 from __future__ import annotations
@@ -124,10 +124,7 @@ def dirderiv(g, x0, x):
         return UpReal.bottom() if x0 > lo else UpReal.top()
     if x == 0:
         return UpReal(0.0)
-    if x > 0:
-        s = g.slope_after(x0)
-        return UpReal.top() if s is None else UpReal(x * s)
-    s = g.slope_before(x0)
+    s = g.slope_after(x0) if x > 0 else g.slope_before(x0)
     return UpReal.top() if s is None else UpReal(x * s)
 
 
@@ -194,11 +191,9 @@ def subdiff_extended(g, x0):
         imp.add(-1.0)
     if v0.is_bottom:
         return SubdiffDescription(proper=None, improper=frozenset(imp))
-    sb = g.slope_before(x0)
-    sa = g.slope_after(x0)
-    p_lo = -INF if sb is None else sb
-    p_hi = INF if sa is None else sa
-    return SubdiffDescription(proper=(p_lo, p_hi), improper=frozenset(imp))
+    sb, sa = g.slope_before(x0), g.slope_after(x0)
+    proper = (-INF if sb is None else sb, INF if sa is None else sa)
+    return SubdiffDescription(proper=proper, improper=frozenset(imp))
 
 
 def is_subgradient(g, x0, xi):

@@ -21,6 +21,11 @@ import math
 import numpy as np
 
 
+def _float_repr(x):
+    """Source text that evaluates to the float x bit for bit, infinities included."""
+    return repr(x) if math.isfinite(x) else f"float('{x}')"
+
+
 class _Tagged:
     """Shared machinery for both spaces; not exported."""
 
@@ -85,7 +90,7 @@ class _Tagged:
         return self.v >= other.v
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.v})"
+        return f"{type(self).__name__}({_float_repr(self.v)})"
 
 
 class UpReal(_Tagged):

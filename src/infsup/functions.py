@@ -35,6 +35,7 @@ import numpy as np
 
 from .extreal import (
     UpReal,
+    _float_repr,
     _scale_factor,
     as_down,
     as_up,
@@ -75,16 +76,6 @@ def _require_finite(x, what):
     return x
 
 
-def _require_finite_array(xs, what):
-    """xs as a float64 array; a non-finite entry raises, naming the first one."""
-    x = np.asarray(xs, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{what}[{i}] must be finite, got {x.flat[i]}")
-    return x
-
-
 def _chords(xs, vs):
     """The lists xs, vs as float64 arrays x, v, with their chord slopes s.
 
@@ -106,9 +97,16 @@ def _any_within_tol(s):
         return bool((abs(s[1:] - s[:-1]) <= COLLINEAR_TOL).any())
 
 
-def _float_repr(x):
-    """Source text that evaluates to the float x bit for bit, infinities included."""
-    return repr(x) if math.isfinite(x) else f"float('{x}')"
+def _require_finite_span(xs):
+    """Raise ValueError when two neighbours of the increasing list xs lie more than the largest float apart.
+
+    Floats of one sign differ by at most the larger magnitude, so only
+    the chord across 0 can overflow, and only when the whole span does.
+    """
+    if xs[-1] - xs[0] == INF:
+        i = bisect_right(xs, 0.0)
+        if xs[i] - xs[i - 1] == INF:
+            raise ValueError(f"the chord from breakpoint x = {xs[i - 1]!r} to x = {xs[i]!r} spans more than the largest float")
 
 
 def _strictly_increasing(xs):
@@ -138,25 +136,10 @@ def _pl_value(xs, vs, slope_left, slope_right, x):
 
 
 class UpFunction:
-    """Base for the up-space representations; use the concrete classes."""
+    """Base of the up-space representations, which share ``eval``, ``dom`` and ``is_convex``.
 
-    def eval(self, x):
-        raise NotImplementedError
-
-    def eval_many(self, xs):
-        """``eval`` at every finite x of an array, as float64 with Top = +inf, Bottom = -inf.
-
-        That is the bulk encoding of ``extreal``'s ``*_arr`` operations;
-        ``out[i]`` equals ``self.eval(xs[i]).value`` bit for bit.
-        """
-        raise NotImplementedError
-
-    def dom(self):
-        """Effective domain {x : f(x) < Top} as (lo, hi), or None if empty."""
-        raise NotImplementedError
-
-    def is_convex(self):
-        raise NotImplementedError
+    ``==`` is :func:`fn_allclose` with ``tol=0``: function equality.
+    """
 
     def __eq__(self, other):
         return fn_allclose(self, other, tol=0.0) if isinstance(other, UpFunction) else NotImplemented
@@ -192,11 +175,8 @@ class ImproperSplit(UpFunction):
             return UpReal.bottom()
         return UpReal.top()
 
-    def eval_many(self, xs):
-        x = _require_finite_array(xs, "x")
-        return np.where((self.lo <= x) & (x <= self.hi), -INF, INF)
-
     def dom(self):
+        """The effective domain {x : f(x) < Top}, [lo, hi], as (lo, hi); None if empty."""
         return None if self.lo > self.hi else (self.lo, self.hi)
 
     def is_convex(self):
@@ -249,7 +229,7 @@ class PLProper(UpFunction):
       finite domain bounds are folded into the breakpoint list;
     * ``slope_left`` is present iff ``dom_lo`` is -inf, ``slope_right``
       iff ``dom_hi`` is +inf;
-    * every chord slope finite (an overflow raises, naming the chord);
+    * every chord span and slope finite (an overflow raises, naming the chord);
     * no two neighbouring slopes (:meth:`all_slopes`) within
       COLLINEAR_TOL of each other, except the two end slopes of an
       affine function, which has its one breakpoint at x = 0.
@@ -299,6 +279,7 @@ class PLProper(UpFunction):
                 _require_finite(v, f"breakpoint value v[{i}]")
         if not _strictly_increasing(xs):
             raise ValueError("breakpoints must be strictly increasing")
+        _require_finite_span(xs)
         sl = None if slope_left is None else _require_finite(slope_left, "slope_left")
         sr = None if slope_right is None else _require_finite(slope_right, "slope_right")
         dom_lo, dom_hi = float(dom_lo), float(dom_hi)
@@ -340,6 +321,8 @@ class PLProper(UpFunction):
                 px.append(x)
                 pv.append(v)
             xs, vs = px, pv
+        # a pop merges two chords, which may overflow across 0
+        _require_finite_span(xs)
         # then end breakpoints that sit on the continuation of the adjacent
         # infinite ray; removing one creates no new interior triple
         i, j = 0, len(xs)
@@ -396,29 +379,8 @@ class PLProper(UpFunction):
             return UpReal.top()
         return UpReal(_pl_value(self.xs, self.vs, self.slope_left, self.slope_right, x))
 
-    def eval_many(self, xs):
-        """:func:`_pl_value` over an array: the same case split and IEEE operations, Top off the domain."""
-        x = _require_finite_array(xs, "x")
-        bx, bv = np.asarray(self.xs), np.asarray(self.vs)
-        last = len(bx) - 1
-        i = np.searchsorted(bx, x, side="right") - 1
-        at = (i >= 0) & (x == bx[np.maximum(i, 0)])
-        inner = (i >= 0) & (i < last) & ~at
-        out = np.full(x.shape, INF)
-        out[at] = bv[i[at]]
-        j = i[inner]
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = (x[inner] - bx[j]) / (bx[j + 1] - bx[j])
-            out[inner] = bv[j] + t * (bv[j + 1] - bv[j])
-            if self.slope_left is not None:
-                m = i < 0
-                out[m] = bv[0] + self.slope_left * (x[m] - bx[0])
-            if self.slope_right is not None:
-                m = (i == last) & ~at
-                out[m] = bv[-1] + self.slope_right * (x[m] - bx[-1])
-        return out
-
     def dom(self):
+        """The effective domain {x : f(x) < Top} as (dom_lo, dom_hi); never empty."""
         return (self.dom_lo, self.dom_hi)
 
     def segment_slopes(self):

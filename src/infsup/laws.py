@@ -103,8 +103,7 @@ def random_closed_convex_fn(rng):
     if u < 0.70:
         return random_convex_pl(rng)
     if u < 0.85:
-        g = random_improper_split(rng)
-        return g
+        return random_improper_split(rng)
     if u < 0.925:
         return ConstTop()
     return ConstBottom()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .extreal import _scale_factor
 from .poly2 import INF, QUERY_TOL, ConvexPoly2, hull_union, intersect_all
 
 
@@ -93,9 +94,7 @@ def add(a, b):
 
 def scale(t, a):
     """t a for a real t >= 0, with 0 a = C for every a (the empty set too)."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"scale factor must be finite and >= 0, got {t}")
+    t = _scale_factor(t)
     if t == 0:
         return UpperSet(a.cone, a.cone)
     if a.poly.empty:

@@ -313,6 +313,20 @@ def test_operator_sugar_matches_functions():
     assert -up(4) == down(-4)
     assert 2 * down(3) == down(6)
     assert negate_down(negate_up(up(9))) == up(9)
+    assert down(INF) + down(-INF) == ssum(down(INF), down(-INF)) == DownReal.bottom()
+    assert up(INF) + up(-INF) == UpReal.top()
+    assert -down(4) == negate_down(down(4)) == up(-4)
+    assert -down(-INF) == UpReal.top()
+    assert 2 * up(3) == scale(2, up(3)) == up(6)
+    assert 0 * up(INF) == up(0.0)
+
+
+def test_repr_evaluates_back():
+    for cls in (UpReal, DownReal):
+        for v in (INF, -INF, 0.0, -0.0, 2.5, 1 / 3):
+            x = cls(v)
+            y = eval(repr(x), {cls.__name__: cls})
+            assert type(y) is cls and y == x and math.copysign(1.0, y.value) == math.copysign(1.0, v), repr(x)
 
 
 # ---------------------------------------------------------------------------

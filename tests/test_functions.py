@@ -15,6 +15,7 @@ Independent routes used as oracles:
 
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,24 @@ def test_constructor_folds_a_bound_below_the_first_breakpoint():
     assert _stored_bits(f) == _stored_bits(PLProper([-1.0], [1.0], slope_right=0.0, dom_lo=-1.0))
     g = PLProper([0.0, 2.0], [1.0, 3.0], slope_left=-2.0, slope_right=0.5, dom_lo=-1.0, dom_hi=1.0)
     assert (g.xs, g.vs, g.slope_left, g.slope_right) == ([-1.0, 0.0, 1.0], [3.0, 1.0, 2.0], None, None)
+
+
+def test_a_breakpoint_span_that_overflows_is_rejected():
+    # each would be read as a flat chord, (2 - 0) / inf = 0, and evaluate wrongly
+    big = 1e308
+    message = re.escape(f"the chord from breakpoint x = {-big!r} to x = {big!r} spans more than the largest float")
+    for args in (
+        ([-big, big], [0.0, 2.0], None, None, -big, big),  # f(5e307) would read 0.0, not 1.5
+        ([-big, 0.0, big], [0.0, 1.0, 2.0], None, None, -big, big),  # the prune would merge across 0
+        ([-big, big], [0.0, 2.0], 0.0, 5.0),  # the end-ray prune would drop x = -1e308
+        ([-big, big], [0.0, 2.0], None, 5.0, -big, 0.0),  # clipping would set f(0) = 0.0
+        ([-big, big], [0.0, 2.0], None, None, 0.0, big),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PLProper(*args)
+    # spans up to the largest float stay, however steep the chords
+    f = PLProper([-big, 0.0, big], [0.0, 1e297, 0.0], None, None, -big, big)
+    assert f.xs == [-big, 0.0, big] and f.eval(0.0) == UpReal(1e297)
 
 
 def test_improper_split_factory_canonicalizes():
@@ -1001,6 +1020,11 @@ def test_function_equality():
     assert ConstTop() != ConstBottom()
     assert improper_split(0.0, 1.0) == improper_split(0.0, 1.0)
     assert improper_split(0.0, 1.0) != improper_split(0.0, 2.0)
+    assert abs_fn() != improper_split(0.0, 1.0) and not fn_allclose(abs_fn(), ConstTop())
+    # g agrees with f on f's breakpoints, slopes and domain, and has one breakpoint more
+    f = PLProper([0.0, 1.0], [0.0, 1.0], slope_left=-1.0, slope_right=2.0)
+    g = PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.5], slope_left=-1.0, slope_right=2.0)
+    assert f != g and g != f and not fn_allclose(f, g, tol=1.0)
 
 
 def _stored_bits(f):

@@ -9,7 +9,10 @@ Every private function, class and method (a name with a leading
 underscore, dunders excluded) is referenced somewhere in the package.
 A helper whose last caller went away is dead code, and the scan fails
 on it; a reference is a name or an attribute with the helper's name in
-any module, so an import alone does not count.
+any module, so an import alone does not count.  Every public function,
+class and method of the package is referenced, in the same sense,
+somewhere in the package, the bench or the tests: a public name with
+no caller and no test is deleted.
 
 No module holds an ``assert`` statement or reads ``__debug__``.
 ``python -O`` strips both, so a library check resting on either would
@@ -69,25 +72,47 @@ def test_package_has_no_debug_only_checks():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def unreferenced_private_defs(sources):
-    """(module, name) of each private def or class in ``sources`` (name -> source) that no module references."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
+def _referenced(trees):
+    """Every name and attribute name read in the trees; an import alone adds none."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
                 used.add(n.id)
             elif isinstance(n, ast.Attribute):
                 used.add(n.attr)
+    return used
+
+
+def _defs(trees):
+    """(module, name) of every function, class and method in ``trees`` (module -> tree)."""
     return sorted(
         (module, n.name)
         for module, tree in trees.items()
         for n in ast.walk(tree)
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and n.name.startswith("_")
-        and not (n.name.startswith("__") and n.name.endswith("__"))
-        and n.name not in used
     )
+
+
+def unreferenced_private_defs(sources):
+    """(module, name) of each private def or class in ``sources`` (name -> source) that no module references."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = _referenced(trees.values())
+    return [
+        (module, name)
+        for module, name in _defs(trees)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in used
+    ]
+
+
+def unreferenced_public_defs(sources, users):
+    """(module, name) of each public def or class in ``sources`` that neither ``sources`` nor ``users`` references.
+
+    Both map a module name to its source.
+    """
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = _referenced([*trees.values(), *map(ast.parse, users.values())])
+    return [(module, name) for module, name in _defs(trees) if not name.startswith("_") and name not in used]
 
 
 def test_scan_finds_an_unreferenced_private_def():
@@ -100,3 +125,19 @@ def test_scan_finds_an_unreferenced_private_def():
 def test_package_has_no_unreferenced_private_defs():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def test_scan_finds_an_unreferenced_public_def():
+    a = "def used(x):\n    return x\n\ndef dead():\n    pass\n\nclass Gone:\n    def method(self):\n        pass\n"
+    b = "from a import used, dead, Gone\n\nclass C:\n    def m(self):\n        return used(self._n())\n"
+    assert unreferenced_public_defs({"a": a}, {"b": b}) == [("a", "Gone"), ("a", "dead"), ("a", "method")]
+    assert unreferenced_public_defs({"a": a, "b": b}, {}) == [("a", "Gone"), ("a", "dead"), ("a", "method"), ("b", "C"), ("b", "m")]
+    assert unreferenced_public_defs({"a": a}, {"b": b + "Gone().method(), dead\n"}) == []
+
+
+def test_package_has_no_unreferenced_public_defs():
+    root = PACKAGE.parent.parent
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = {str(p.relative_to(root)): p.read_text() for d in ("bench", "tests") for p in sorted((root / d).glob("*.py"))}
+    assert users
+    assert unreferenced_public_defs(sources, users) == []

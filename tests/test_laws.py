@@ -1,5 +1,6 @@
 """The conlinear-space axioms, checked through one checker on every image space."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from infsup import extreal as xr
 from infsup.calculus import conjugate
 from infsup.functions import DualElem, affine_eval, dual_add, dual_scale, improper_split, pl
-from infsup.laws import check_conlinear, random_closed_convex_fn
+from infsup.laws import check_conlinear, random_closed_convex_fn, random_ext_values
 
 PROBES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 
@@ -81,6 +82,31 @@ def test_congruence_rejects_a_coarser_dual_equality():
     assert {axiom for axiom, _ in rep.violations} == {"C0-congruence"}
     x1, x2, y = next(w for axiom, w in rep.violations if axiom == "C0-congruence")
     assert x1 == x2 and add(x1.xi, y.xi) != add(x2.xi, y.xi)
+
+
+def test_congruence_rejects_a_scaling_that_reads_representatives():
+    # 0.0 == -0.0, and sums of the two are equal too, but this scaling keeps the sign
+    def scale(t, x):
+        return float(t) * math.copysign(1.0, x)
+
+    rep = check_conlinear([0.0, -0.0, 1.0], lambda x, y: x + y, scale, PROBES)
+    witnesses = [w for axiom, w in rep.violations if axiom == "C0-congruence"]
+    assert witnesses and all(len(w) == 3 for w in witnesses)
+    t, x1, x2 = witnesses[0]
+    assert x1 == x2 and scale(t, x1) != scale(t, x2)
+
+
+def test_random_ext_values_keeps_its_contract():
+    n = 20000
+    for inf_prob in (0.0, 0.1, 0.25, 0.5):
+        vals = random_ext_values(np.random.default_rng(31), n, inf_prob)
+        assert vals.shape == (n,) and vals.dtype == np.float64
+        assert np.array_equal(vals, random_ext_values(np.random.default_rng(31), n, inf_prob))
+        fin = vals[np.isfinite(vals)]
+        assert np.all(np.abs(fin) <= 20.0) and np.array_equal(fin * 4, np.round(fin * 4))
+        assert len(set(fin.tolist())) == (0 if inf_prob == 0.5 else 161)
+        for sign in (1, -1):
+            assert abs(np.mean(vals == sign * np.inf) - inf_prob) <= 0.015, (inf_prob, sign)
 
 
 def test_equal_dual_elements_have_equal_values():
