@@ -466,12 +466,6 @@ def abs_fn():
 # ---------------------------------------------------------------------------
 
 
-def epi_contains(f, x, r):
-    """Whether (x, r) lies in the epigraph; r must be finite."""
-    r = _require_finite(r, "r")
-    return f.eval(x) <= UpReal(r)
-
-
 def _close(a, b, tol):
     """``|a - b| <= tol * max(1, |a|, |b|)`` for finite a and b; an infinity is close only to itself."""
     if math.isinf(a) or math.isinf(b):

@@ -17,6 +17,14 @@ exactly, which makes these statements testable.  This module implements
 the checks, a residual lookup, and a generator of random valid
 structures for fuzzing.
 
+Each ``check_condition`` call builds every residual set of its mode in
+one numpy gather, R[u, v, w] = leq[u][add[v][w]] (mode sup:
+leq[add[v][w]][u]), an n^3-byte boolean table that lives only for that
+call, and packs its rows into integer bitmasks.  Nothing derived from a
+check is cached on the structure: a caller who reruns a check on the
+same structure pays for the check again, so timing repeated checks
+times the check and not a lookup.
+
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
 
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 CONDITIONS = ("A", "B", "C", "D")
 MODES = ("inf", "sup")
@@ -65,18 +75,43 @@ def _carrier_and_table(carrier, add):
     return carrier, index, table
 
 
+def _row_masks(rows):
+    """The rows along the last axis of a boolean array as Python ints, in C order.
+
+    Bit w of a row's mask is row[w].  ``packbits`` packs each row
+    little-endian into bytes.  Rows of up to 8 bits are one byte each;
+    wider rows are padded to whole 64-bit words, and one ``tolist`` per
+    word column reads them, shifted into place.
+    """
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    nbytes = packed.shape[-1]
+    if nbytes == 1:
+        return packed.ravel().tolist()
+    words = -(-nbytes // 8)
+    padded = np.zeros((packed.size // nbytes, 8 * words), dtype=np.uint8)
+    padded[:, :nbytes] = packed.reshape(-1, nbytes)
+    columns = padded.view("<u8")
+    masks = columns[:, 0].tolist()
+    for k in range(1, words):
+        masks = [mask | word << (64 * k) for mask, word in zip(masks, columns[:, k].tolist())]
+    return masks
+
+
 class FiniteOrderedGroupoid:
     """A finite carrier with a commutative addition table and a compatible partial order.
 
     Construction validates everything the theory needs: totality and
     commutativity of the table, the partial-order axioms for ``leq``,
     and compatibility (u <= v implies u+w <= v+w).  Invalid input
-    raises ValueError with the offending entries.
+    raises ValueError with the offending entries.  The triple axioms
+    (transitivity, compatibility) are two n^3 boolean array passes.
 
     Order queries run on integer bitmasks: ``_down[y]`` has bit x set iff
     x <= y, ``_up[x]`` has bit y set iff x <= y.  By antisymmetry each
     principal down-set (up-set) belongs to one element, which
-    ``_down_of`` (``_up_of``) maps it back to.
+    ``_down_of`` (``_up_of``) maps it back to.  ``_leq`` and ``_add`` hold
+    the input order and table as numpy arrays for the residual-set
+    gather of ``check_condition``, which stores nothing on the instance.
     """
 
     def __init__(self, carrier, add, leq):
@@ -85,42 +120,50 @@ class FiniteOrderedGroupoid:
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("leq matrix must be n x n")
         self.leq = [[bool(x) for x in row] for row in leq]
+        self._leq = np.array(self.leq, dtype=bool)
+        self._add = np.array(self.add, dtype=np.intp)
 
         self._validate()
 
-        self._up = [sum(1 << y for y in range(n) if row[y]) for row in self.leq]
-        self._down = [sum(1 << x for x in range(n) if self.leq[x][y]) for y in range(n)]
+        self._up = _row_masks(self._leq)
+        self._down = _row_masks(self._leq.T)
         self._up_of = {m: x for x, m in enumerate(self._up)}
         self._down_of = {m: y for y, m in enumerate(self._down)}
 
     def _validate(self):
-        n = len(self.carrier)
-        add, leq, lab = self.add, self.leq, self.carrier
-        for i in range(n):
-            for j in range(i + 1, n):
-                if add[i][j] != add[j][i]:
-                    raise ValueError(f"add is not commutative at ({lab[i]!r}, {lab[j]!r})")
-        for i in range(n):
-            if not leq[i][i]:
-                raise ValueError(f"leq is not reflexive at {lab[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise ValueError(f"leq is not antisymmetric on ({lab[i]!r}, {lab[j]!r})")
-        for i in range(n):
-            for j in range(n):
-                if not leq[i][j]:
-                    continue
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        raise ValueError(
-                            f"leq is not transitive: {lab[i]!r} <= {lab[j]!r} <= {lab[k]!r}"
-                        )
-                    if not leq[add[i][k]][add[j][k]]:
-                        raise ValueError(
-                            f"order incompatible with addition: {lab[i]!r} <= {lab[j]!r} "
-                            f"but adding {lab[k]!r} breaks it"
-                        )
+        """Raise ValueError at the first violated axiom, in the order of a plain loop.
+
+        Commutativity over i < j, reflexivity, antisymmetry over i != j,
+        then the triples (i, j, k) with i <= j in C order, where at one
+        triple transitivity is reported before compatibility.
+        """
+        add, leq, lab = self._add, self._leq, self.carrier
+        bad = np.flatnonzero(np.triu(add != add.T, 1))
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(lab))
+            raise ValueError(f"add is not commutative at ({lab[i]!r}, {lab[j]!r})")
+        bad = np.flatnonzero(~leq.diagonal())
+        if bad.size:
+            raise ValueError(f"leq is not reflexive at {lab[bad[0]]!r}")
+        bad = np.flatnonzero(leq & leq.T & ~np.eye(len(lab), dtype=bool))
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(lab))
+            raise ValueError(f"leq is not antisymmetric on ({lab[i]!r}, {lab[j]!r})")
+        # [i, j, k]: i <= j <= k but not i <= k; i <= j but not i+k <= j+k
+        below = leq[:, :, None]
+        intransitive = below & leq[None, :, :] & ~leq[:, None, :]
+        incompatible = below & ~leq[add[:, None, :], add[None, :, :]]
+        bad = np.flatnonzero(intransitive | incompatible)
+        if bad.size:
+            i, j, k = np.unravel_index(bad[0], intransitive.shape)
+            if intransitive[i, j, k]:
+                raise ValueError(
+                    f"leq is not transitive: {lab[i]!r} <= {lab[j]!r} <= {lab[k]!r}"
+                )
+            raise ValueError(
+                f"order incompatible with addition: {lab[i]!r} <= {lab[j]!r} "
+                f"but adding {lab[k]!r} breaks it"
+            )
 
     # -- order queries on bitmasks --------------------------------------------
 
@@ -151,13 +194,25 @@ class FiniteOrderedGroupoid:
         return of.get(sets[a] & sets[b])
 
     def _residual_mask(self, u, v, mode):
-        """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup), as a mask."""
+        """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup), as a mask.
+
+        One set for a scalar query; ``_residual_masks`` builds all n^2.
+        """
         target = self._up[u] if mode == "inf" else self._down[u]
         mask = 0
         for w, s in enumerate(self.add[v]):
             if target >> s & 1:
                 mask |= 1 << w
         return mask
+
+    def _residual_masks(self, mode):
+        """Every residual set of ``mode`` as a mask; S(u, v) is at index u * n + v.
+
+        The rows of one n^3 gather, packed: R[u, v, w] = leq[u][add[v][w]]
+        (mode sup: leq[add[v][w]][u]).
+        """
+        order = self._leq if mode == "inf" else self._leq.T
+        return _row_masks(order.take(self._add, axis=1))
 
     def is_lattice(self):
         """Whether every pair of elements has a meet and a join.
@@ -238,21 +293,21 @@ def _failures(G, condition, mode):
     all say that S is principal, and fail at (u, v).  C (adding v
     preserves every existing infimum, resp. supremum) fails at (v, M)
     exactly when M is a subset of some S(u, v) whose infimum exists and
-    lies outside it, which a principal S cannot have.
+    lies outside it, which a principal S cannot have.  The sets come from
+    one ``_residual_masks`` table, scanned with u outer and v inner.
     """
     lab = G.carrier
     principal = G._up_of if mode == "inf" else G._down_of
-    for u in range(G.size):
-        for v in range(G.size):
-            S = G._residual_mask(u, v, mode)
-            if S in principal:
-                continue
-            if condition != "C":
-                yield (lab[u], lab[v])
-                continue
-            M = _c_failure(G, S, mode)
-            if M is not None:
-                yield (lab[v], tuple(lab[m] for m in M))
+    for uv, S in enumerate(G._residual_masks(mode)):
+        if S in principal:
+            continue
+        u, v = divmod(uv, G.size)
+        if condition != "C":
+            yield (lab[u], lab[v])
+            continue
+        M = _c_failure(G, S, mode)
+        if M is not None:
+            yield (lab[v], tuple(lab[m] for m in M))
 
 
 def check_condition(G, condition, mode):
@@ -264,6 +319,11 @@ def check_condition(G, condition, mode):
     least (greatest) member; a witness of C is (v, M) where M has an
     infimum (supremum) e but v + e is not the infimum (supremum) of the
     v + m.  At most ``MAX_WITNESSES`` distinct witnesses are listed.
+
+    Each call gathers all n^2 residual sets at once into an n^3-byte
+    table (n = 48: 110 kB) and drops it on return.  The table is not
+    cached on G: G is typically built once and checked many times, and a
+    cache would turn every later check into a lookup.
     """
     condition = condition.upper()
     if condition not in CONDITIONS:

@@ -41,7 +41,6 @@ from infsup.functions import (
     closure_hull,
     dual_add,
     dual_scale,
-    epi_contains,
     fn_allclose,
     improper_split,
     pl,
@@ -403,16 +402,15 @@ def test_dom_variants():
 
 
 def test_epi_contains_examples():
+    # (x, r) lies in epi f iff f(x) <= r in the up-space order
     f = abs_fn()
-    assert epi_contains(f, 1.0, 2.0)
-    assert epi_contains(f, 1.0, 1.0)  # boundary
-    assert not epi_contains(f, 1.0, 0.5)
+    assert f.eval(1.0) <= UpReal(2.0)
+    assert f.eval(1.0) <= UpReal(1.0)  # boundary
+    assert not f.eval(1.0) <= UpReal(0.5)
     g = improper_split(0.0, INF)
-    assert epi_contains(g, 3.0, -100.0)  # Bottom is below everything
-    assert not epi_contains(g, -1.0, 100.0)
-    assert not epi_contains(ConstTop(), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        epi_contains(f, 1.0, INF)
+    assert g.eval(3.0) <= UpReal(-100.0)  # Bottom is below everything
+    assert not g.eval(-1.0) <= UpReal(100.0)
+    assert not ConstTop().eval(0.0) <= UpReal(0.0)
 
 
 # ---------------------------------------------------------------------------

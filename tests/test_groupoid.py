@@ -8,6 +8,8 @@ from infsup import extreal as xr
 from infsup.groupoid import (
     MAX_WITNESSES,
     FiniteOrderedGroupoid,
+    ConditionReport,
+    _c_failure,
     _random_tables,
     check_condition,
     check_equivalence,
@@ -144,6 +146,79 @@ def test_construction_rejects_bad_tables():
             [["a", "a", "a"], ["a", "a", "c"], ["a", "c", "c"]],
             [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
         )
+
+
+AXIOMS = ("commutative", "reflexive", "antisymmetric", "transitive", "incompatible")
+
+
+def _loop_validation_error(carrier, add, leq):
+    """The first axiom a plain loop finds violated, as the message it raises, or None.
+
+    ``add`` and ``leq`` are index and boolean matrices.  This is the loop
+    ``FiniteOrderedGroupoid`` ran before its array passes, kept as the
+    reference for their order.
+    """
+    n, lab = len(carrier), carrier
+    for i in range(n):
+        for j in range(i + 1, n):
+            if add[i][j] != add[j][i]:
+                return f"add is not commutative at ({lab[i]!r}, {lab[j]!r})"
+    for i in range(n):
+        if not leq[i][i]:
+            return f"leq is not reflexive at {lab[i]!r}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"leq is not antisymmetric on ({lab[i]!r}, {lab[j]!r})"
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    return f"leq is not transitive: {lab[i]!r} <= {lab[j]!r} <= {lab[k]!r}"
+                if not leq[add[i][k]][add[j][k]]:
+                    return (
+                        f"order incompatible with addition: {lab[i]!r} <= {lab[j]!r} "
+                        f"but adding {lab[k]!r} breaks it"
+                    )
+    return None
+
+
+def _validation_error(carrier, add, leq):
+    try:
+        FiniteOrderedGroupoid(carrier, [[carrier[k] for k in row] for row in add], leq)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_validation_names_the_first_fault_in_loop_order():
+    # a <= b <= c without a <= c breaks transitivity at (a, b, c); earlier,
+    # a <= b but a + a = c is not below b + a = a breaks compatibility at (a, b, a)
+    carrier = ["a", "b", "c"]
+    add = [[2, 0, 2], [0, 1, 2], [2, 2, 2]]
+    leq = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    want = "order incompatible with addition: 'a' <= 'b' but adding 'a' breaks it"
+    assert _loop_validation_error(carrier, add, leq) == want
+    assert _validation_error(carrier, add, leq) == want
+    # random draws with a few entries flipped hit every axiom, at n <= 5
+    rng = np.random.default_rng(3)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        add, leq = _random_tables(rng, n)
+        for _ in range(int(rng.integers(0, 3))):
+            i, j, k = (int(x) for x in rng.integers(n, size=3))
+            if rng.random() < 0.5:
+                leq[i][j] = not leq[i][j]
+            else:
+                add[i][j] = k
+        carrier = [f"e{i}" for i in range(n)]
+        want = _loop_validation_error(carrier, add, leq)
+        assert _validation_error(carrier, add, leq) == want, (add, leq)
+        seen.add(next((a for a in AXIOMS if want and a in want), want))
+    assert seen == {None, *AXIOMS}
 
 
 def test_structures_reject_bad_shapes():
@@ -518,3 +593,71 @@ def test_c_equals_full_enumeration_on_unfiltered_draws():
             assert all(_ref_fails_c(G, mode, w) for w in rep.witnesses), (add, leq, mode)
             seen.add((G.is_lattice(), want))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# ---------------------------------------------------------------------------
+# The residual-set table against the scalar masks, and the reports against
+# the loop that built one mask per pair.
+# ---------------------------------------------------------------------------
+
+
+def _loop_failures(G, condition, mode):
+    """The witness scan ``check_condition`` ran with one ``_residual_mask`` per (u, v)."""
+    lab = G.carrier
+    principal = G._up_of if mode == "inf" else G._down_of
+    for u in range(G.size):
+        for v in range(G.size):
+            S = G._residual_mask(u, v, mode)
+            if S in principal:
+                continue
+            if condition != "C":
+                yield (lab[u], lab[v])
+                continue
+            M = _c_failure(G, S, mode)
+            if M is not None:
+                yield (lab[v], tuple(lab[m] for m in M))
+
+
+def _loop_report(G, condition, mode):
+    witnesses = []
+    for w in _loop_failures(G, condition, mode):
+        if w not in witnesses:
+            witnesses.append(w)
+            if len(witnesses) == MAX_WITNESSES:
+                break
+    return ConditionReport(condition, mode, witnesses)
+
+
+def test_the_residual_table_matches_the_scalar_masks():
+    # saturating((9, 8)) has 72 elements: its masks span two 64-bit words
+    for G in _reference_carriers() + [saturating((9, 8))]:
+        n = G.size
+        for x in range(n):
+            assert G._up[x] == sum(1 << y for y in range(n) if G.leq[x][y])
+            assert G._down[x] == sum(1 << y for y in range(n) if G.leq[y][x])
+        for mode in ("inf", "sup"):
+            want = [G._residual_mask(u, v, mode) for u in range(n) for v in range(n)]
+            assert G._residual_masks(mode) == want, (G.carrier, mode)
+
+
+def test_checks_read_the_table_not_the_scalar_masks(monkeypatch):
+    carriers = [saturating((16,)), saturating((4, 4)), nonlattice6(), crown8(), up3()]
+    want = [repr(check_condition(G, c, m)) for G in carriers for c in "ABCD" for m in ("inf", "sup")]
+
+    def scalar_mask(*args):
+        raise AssertionError("check_condition built a residual set by the scalar loop")
+
+    monkeypatch.setattr(FiniteOrderedGroupoid, "_residual_mask", scalar_mask)
+    got = [repr(check_condition(G, c, m)) for G in carriers for c in "ABCD" for m in ("inf", "sup")]
+    assert got == want
+
+
+def test_reports_match_the_loop_reference():
+    carriers = [saturating((n,)) for n in (16, 32, 48)]
+    carriers += [saturating((4, 4)), saturating((6, 8)), nonlattice6(), pinned7(), crown8()]
+    rng = np.random.default_rng(5)
+    carriers += [random_groupoid(rng, int(rng.integers(1, 9))) for _ in range(200)]
+    for G in carriers:
+        for mode in ("inf", "sup"):
+            for c in "ABCD":
+                assert repr(check_condition(G, c, mode)) == repr(_loop_report(G, c, mode))
