@@ -88,6 +88,8 @@ INFCONV_CONJ_TOL = 1e-9
 
 def diff_quotient(g, x0, x, t):
     """The quotient (1/t) * (g(x0 + t*x) up-minus g(x0)) for t > 0."""
+    if not isinstance(g, UpFunction):
+        raise TypeError(f"not an up-space function: {type(g).__name__}")
     t = float(t)
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"quotient needs a finite t > 0, got {t}")
@@ -108,6 +110,8 @@ def dirderiv(g, x0, x):
     Bottom; at a finite point it is the matching one-sided slope times
     x, or Top when x points out of a bounded domain.
     """
+    if not isinstance(g, UpFunction):
+        raise TypeError(f"not an up-space function: {type(g).__name__}")
     x0 = _require_finite(x0, "x0")
     x = _require_finite(x, "x")
     if not g.is_convex():
@@ -178,6 +182,8 @@ def subdiff_extended(g, x0):
     for the hats.  A non-convex g is rejected, as in :func:`dirderiv`:
     its one-sided slopes do not bound its subgradients.
     """
+    if not isinstance(g, UpFunction):
+        raise TypeError(f"not an up-space function: {type(g).__name__}")
     x0 = _require_finite(x0, "x0")
     if not g.is_convex():
         raise ValueError("subdifferential requires a convex function")
@@ -210,6 +216,8 @@ def is_subgradient(g, x0, xi):
     slope, so the hat rule is written once, there; the grid oracles in
     the tests check it against the definition.
     """
+    if not isinstance(g, UpFunction):
+        raise TypeError(f"not an up-space function: {type(g).__name__}")
     x0 = _require_finite(x0, "x0")
     if not isinstance(xi, DualElem):
         raise TypeError("is_subgradient expects a DualElem")

@@ -129,15 +129,6 @@ class DownReal(_Tagged):
         return scale(t, self)
 
 
-def up(x) -> UpReal:
-    """Shorthand constructor, mostly for tests and fixtures."""
-    return UpReal(x)
-
-
-def down(x) -> DownReal:
-    return DownReal(x)
-
-
 def _want(cls, x, op):
     if type(x) is not cls:
         raise TypeError(f"{op} expects {cls.__name__}, got {type(x).__name__}")

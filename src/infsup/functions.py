@@ -138,14 +138,16 @@ def _pl_value(xs, vs, slope_left, slope_right, x):
 class UpFunction:
     """Base of the up-space representations, which share ``eval``, ``dom`` and ``is_convex``.
 
-    ``==`` is :func:`fn_allclose` with ``tol=0``: function equality.
+    Every instance is canonical, so a function is its data: ``==`` and
+    ``hash`` read the key of :func:`_key`, the canonical fields as one
+    flat tuple, and ``==`` is function equality.
     """
 
     def __eq__(self, other):
-        return fn_allclose(self, other, tol=0.0) if isinstance(other, UpFunction) else NotImplemented
+        return _key(self) == _key(other) if isinstance(other, UpFunction) else NotImplemented
 
     def __hash__(self):
-        return hash(type(self).__name__)
+        return hash(_key(self))
 
 
 class ImproperSplit(UpFunction):
@@ -235,7 +237,7 @@ class PLProper(UpFunction):
       affine function, which has its one breakpoint at x = 0.
 
     Equal functions therefore have equal representations, and ``==``
-    (:func:`fn_allclose` with ``tol=0``) is function equality.
+    (equal keys, :func:`_key`) is function equality.
 
     Values at finite domain endpoints are attained, so the epigraph is
     closed by construction.
@@ -456,14 +458,25 @@ def pl(breaks, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
     return PLProper.make(breaks, slope_left, slope_right, dom_lo, dom_hi)
 
 
-def abs_fn():
-    """|x|, the workhorse example."""
-    return pl([(0.0, 0.0)], slope_left=-1.0, slope_right=1.0)
+# ---------------------------------------------------------------------------
+# Identity and closeness.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Structure predicates as module functions.
-# ---------------------------------------------------------------------------
+def _key(f):
+    """The canonical fields of the up-space function f as one flat tuple.
+
+    The variant's name comes first, then its fields: ``lo``, ``hi`` of an
+    ``ImproperSplit``; ``xs``, ``vs``, the end slopes (None where absent)
+    and the domain bounds of a ``PLProper``.  Two ``PLProper`` keys of one
+    length have equally many breakpoints, so their fields line up.
+    Raises TypeError for anything that is not an up-space function.
+    """
+    if isinstance(f, PLProper):
+        return ("PLProper", *f.xs, *f.vs, f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+    if isinstance(f, ImproperSplit):
+        return ("ImproperSplit", f.lo, f.hi)
+    raise TypeError(f"not an up-space function: {type(f).__name__}")
 
 
 def _close(a, b, tol):
@@ -474,36 +487,18 @@ def _close(a, b, tol):
 
 
 def fn_allclose(f, g, tol=1e-9):
-    """Structural closeness of two up-space functions.
+    """Structural closeness of two up-space functions: their keys (:func:`_key`) entry by entry.
 
-    Compares variant, breakpoints, slopes and domain markers, each pair
-    within ``tol`` relative to its size: ``|a - b| <= tol * max(1, |a|, |b|)``,
-    so ``tol`` is absolute below 1 and relative above, and ``tol=0`` is exact.
-    Every instance is canonical (see :class:`PLProper`), so ``tol=0`` is
-    function equality.
+    Variant names and absent slopes must match exactly; each pair of
+    floats must lie within ``tol`` relative to its size,
+    ``|a - b| <= tol * max(1, |a|, |b|)``, so ``tol`` is absolute below 1
+    and relative above, and ``tol=0`` is ``==``, function equality.
+    Raises TypeError when f or g is not an up-space function.
     """
-
-    def close(a, b):
-        if a is None or b is None:
-            return a is None and b is None
-        return _close(a, b, tol)
-
-    if isinstance(f, ImproperSplit):
-        return isinstance(g, ImproperSplit) and close(f.lo, g.lo) and close(f.hi, g.hi)
-    if isinstance(f, PLProper):
-        if not isinstance(g, PLProper):
-            return False
-        if len(f.xs) != len(g.xs):
-            return False
-        return (
-            all(close(a, b) for a, b in zip(f.xs, g.xs))
-            and all(close(a, b) for a, b in zip(f.vs, g.vs))
-            and close(f.slope_left, g.slope_left)
-            and close(f.slope_right, g.slope_right)
-            and close(f.dom_lo, g.dom_lo)
-            and close(f.dom_hi, g.dom_hi)
-        )
-    raise TypeError(f"not an up-space function: {type(f).__name__}")
+    a, b = _key(f), _key(g)
+    return len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and isinstance(y, float) and _close(x, y, tol)) for x, y in zip(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------

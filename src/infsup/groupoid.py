@@ -5,25 +5,26 @@ general order-algebraic fact.  On a partially ordered commutative
 groupoid take four conditions: (A) a pointwise adjoint characterization,
 (B) a least/greatest element in every residual set, (C) distribution of
 addition over existing infima/suprema, and (D) attainment of the residual
-bound.  By compatibility every residual set {w : u <= v + w} is an up-set
-(mode sup: {w : v + w <= u}, a down-set), and an up-set of a finite
-order has a least element iff it is principal iff it holds its own
-infimum.  So A, B and D are one statement, "every residual set is
-principal", on every valid carrier, and it implies C.  When the order is
-a lattice, C implies it back (Blyth & Janowitz, *Residuation Theory*,
-1972), and all four are equivalent; on a bare partial order C can hold
-while the others fail.  On a finite carrier all four are decided
-exactly, which makes these statements testable.  This module implements
-the checks, a residual lookup, and a generator of random valid
-structures for fuzzing.
+bound.  By compatibility every residual set {w : u <= v + w} is an
+up-set, and an up-set of a finite order has a least element iff it is
+principal iff it holds its own infimum.  So A, B and D are one
+statement, "every residual set is principal", on every valid carrier,
+and it implies C.  When the order is a lattice, C implies it back
+(Blyth & Janowitz, *Residuation Theory*, 1972), and all four are
+equivalent; on a bare partial order C can hold while the others fail.
+On a finite carrier all four are decided exactly, which makes these
+statements testable.  This module implements the checks, a residual
+lookup, and a generator of random valid structures for fuzzing.
 
-Each ``check_condition`` call builds every residual set of its mode in
-one numpy gather, R[u, v, w] = leq[u][add[v][w]] (mode sup:
-leq[add[v][w]][u]), an n^3-byte boolean table that lives only for that
-call, and packs its rows into integer bitmasks.  Nothing derived from a
-check is cached on the structure: a caller who reruns a check on the
-same structure pays for the check again, so timing repeated checks
-times the check and not a lookup.
+Mode sup is mode inf on the order-dual, the same table under the
+reversed order, and every axiom is self-dual.  So each structure builds
+its dual once, without validating it again, every check is written for
+mode inf, and ``check_condition`` and ``residual`` pick G or its dual.
+
+Each ``check_condition`` call builds every residual set in one numpy
+gather, R[u, v, w] = leq[u][add[v][w]], an n^3-byte boolean table that
+lives only for that call.  Nothing derived from a check is cached on the
+structure, so timing repeated checks times the check and not a lookup.
 
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
@@ -97,6 +98,11 @@ def _row_masks(rows):
     return masks
 
 
+def _shifted(leq, add):
+    """The compatibility gather: entry [i, j, w] is leq[add[i][w]][add[j][w]], whether i + w <= j + w."""
+    return leq[add[:, None, :], add[None, :, :]]
+
+
 class FiniteOrderedGroupoid:
     """A finite carrier with a commutative addition table and a compatible partial order.
 
@@ -112,6 +118,8 @@ class FiniteOrderedGroupoid:
     ``_down_of`` (``_up_of``) maps it back to.  ``_leq`` and ``_add`` hold
     the input order and table as numpy arrays for the residual-set
     gather of ``check_condition``, which stores nothing on the instance.
+    ``_dual`` is the order-dual (``leq`` transposed, up and down maps
+    swapped), whose ``_dual`` is this structure.
     """
 
     def __init__(self, carrier, add, leq):
@@ -129,6 +137,13 @@ class FiniteOrderedGroupoid:
         self._down = _row_masks(self._leq.T)
         self._up_of = {m: x for x, m in enumerate(self._up)}
         self._down_of = {m: y for y, m in enumerate(self._down)}
+
+        # every axiom is self-dual, so the dual skips validation; copy.copy would
+        # give it a plain __dict__, which slows the attribute reads of a check
+        dual = self._dual = object.__new__(FiniteOrderedGroupoid)
+        dual.carrier, dual._index, dual.add, dual._add = self.carrier, self._index, self.add, self._add
+        dual.leq, dual._leq, dual._dual = self._leq.T.tolist(), self._leq.T, self
+        dual._up, dual._down, dual._up_of, dual._down_of = self._down, self._up, self._down_of, self._up_of
 
     def _validate(self):
         """Raise ValueError at the first violated axiom, in the order of a plain loop.
@@ -152,7 +167,7 @@ class FiniteOrderedGroupoid:
         # [i, j, k]: i <= j <= k but not i <= k; i <= j but not i+k <= j+k
         below = leq[:, :, None]
         intransitive = below & leq[None, :, :] & ~leq[:, None, :]
-        incompatible = below & ~leq[add[:, None, :], add[None, :, :]]
+        incompatible = below & ~_shifted(leq, add)
         bad = np.flatnonzero(intransitive | incompatible)
         if bad.size:
             i, j, k = np.unravel_index(bad[0], intransitive.shape)
@@ -174,45 +189,41 @@ class FiniteOrderedGroupoid:
     def index(self, label):
         return _to_index(self._index, label, "label")
 
-    def _bound(self, mask, mode):
-        """Infimum (mode inf) or supremum (mode sup) of the index set ``mask``, or None.
+    def _bound(self, mask):
+        """Infimum of the index set ``mask``, or None.
 
         The lower bounds of S are the x whose up-set contains S, and S has
         an infimum iff they form a principal down-set; the empty set's
         infimum is the top element when there is one.
         """
-        sets, of = (self._up, self._down_of) if mode == "inf" else (self._down, self._up_of)
         bounds = 0
-        for x, s in enumerate(sets):
+        for x, s in enumerate(self._up):
             if s & mask == mask:
                 bounds |= 1 << x
-        return of.get(bounds)
+        return self._down_of.get(bounds)
 
-    def _pair_bound(self, a, b, mode):
-        """Meet (mode inf) or join (mode sup) of elements a and b, or None."""
-        sets, of = (self._down, self._down_of) if mode == "inf" else (self._up, self._up_of)
-        return of.get(sets[a] & sets[b])
+    def _pair_bound(self, a, b):
+        """Meet of elements a and b, or None."""
+        return self._down_of.get(self._down[a] & self._down[b])
 
-    def _residual_mask(self, u, v, mode):
-        """Indices w' with u <= v+w' (mode inf) or v+w' <= u (mode sup), as a mask.
+    def _residual_mask(self, u, v):
+        """Indices w' with u <= v+w', as a mask.
 
         One set for a scalar query; ``_residual_masks`` builds all n^2.
         """
-        target = self._up[u] if mode == "inf" else self._down[u]
+        target = self._up[u]
         mask = 0
         for w, s in enumerate(self.add[v]):
             if target >> s & 1:
                 mask |= 1 << w
         return mask
 
-    def _residual_masks(self, mode):
-        """Every residual set of ``mode`` as a mask; S(u, v) is at index u * n + v.
+    def _residual_masks(self):
+        """Every residual set as a mask; S(u, v) is at index u * n + v.
 
-        The rows of one n^3 gather, packed: R[u, v, w] = leq[u][add[v][w]]
-        (mode sup: leq[add[v][w]][u]).
+        The rows of one n^3 gather, packed: R[u, v, w] = leq[u][add[v][w]].
         """
-        order = self._leq if mode == "inf" else self._leq.T
-        return _row_masks(order.take(self._add, axis=1))
+        return _row_masks(self._leq.take(self._add, axis=1))
 
     def is_lattice(self):
         """Whether every pair of elements has a meet and a join.
@@ -221,14 +232,12 @@ class FiniteOrderedGroupoid:
         included) has an infimum and a supremum, which is the setting
         where condition C agrees with A, B and D.  On a bare partial
         order it can come apart from them; see the tests for a
-        six-element witness.
+        six-element witness.  A join is a meet of the dual.
         """
-        n = self.size
         return all(
-            self._pair_bound(a, b, mode) is not None
-            for mode in MODES
-            for a in range(n)
-            for b in range(a + 1, n)
+            H._pair_bound(a, b) is not None
+            for H in (self, self._dual)
+            for a, b in itertools.combinations(range(self.size), 2)
         )
 
 
@@ -256,56 +265,53 @@ class EquivalenceReport:
         return len({r.holds for r in self.reports.values()}) == 1
 
 
-def _c_failure(G, S, mode):
+def _c_failure(G, S):
     """A subset of the non-principal residual set S with an infimum outside S, or None.
 
-    Mode sup reads supremum for infimum and down for up throughout.  S is
-    an up-set without a least element, so an infimum of S lies outside it
-    and is the one to use.  Otherwise the elements m outside S are tried
-    in order: m is the infimum of some subset of S iff it is the infimum
-    of the part of S above it.  The subset returned is the first pair of
-    minimal elements of that part that has an infimum (on a lattice, the
-    first pair), else all of its minimal elements, which have the same
-    infimum as the part.  The infimum of two distinct minimal elements
-    lies above m, so it cannot be in S without equalling both.
+    S is an up-set without a least element, so an infimum of S lies
+    outside it and is the one to use.  Otherwise the elements m outside S
+    are tried in order: m is the infimum of some subset of S iff it is
+    the infimum of the part of S above it.  The subset returned is the
+    first pair of minimal elements of that part that has an infimum (on a
+    lattice, the first pair), else all of its minimal elements, which
+    have the same infimum as the part.  The infimum of two distinct
+    minimal elements lies above m, so it cannot be in S without equalling
+    both.
     """
-    near, far = (G._up, G._down) if mode == "inf" else (G._down, G._up)
-    m = G._bound(S, mode)
+    m = G._bound(S)
     if m is None:
         outside = (x for x in range(G.size) if not S >> x & 1)
-        m = next((x for x in outside if G._bound(S & near[x], mode) == x), None)
+        m = next((x for x in outside if G._bound(S & G._up[x]) == x), None)
         if m is None:
             return None
-    part = S & near[m]
-    ends = [a for a in range(G.size) if part >> a & 1 and part & far[a] == 1 << a]
+    part = S & G._up[m]
+    ends = [a for a in range(G.size) if part >> a & 1 and part & G._down[a] == 1 << a]
     pairs = itertools.combinations(ends, 2)
-    pair = next((p for p in pairs if G._pair_bound(*p, mode) is not None), None)
+    pair = next((p for p in pairs if G._pair_bound(*p) is not None), None)
     return pair or tuple(ends)
 
 
-def _failures(G, condition, mode):
+def _failures(G, condition):
     """Witnesses against one condition, in scan order, possibly repeated.
 
-    Every condition reads the residual sets S(u, v): {w : u <= v + w} in
-    mode inf, an up-set by compatibility, and {w : v + w <= u} in mode
-    sup, a down-set.  A (an adjoint w exists), B (S has a least, resp.
-    greatest, member) and D (the infimum, resp. supremum, of S lies in S)
-    all say that S is principal, and fail at (u, v).  C (adding v
-    preserves every existing infimum, resp. supremum) fails at (v, M)
-    exactly when M is a subset of some S(u, v) whose infimum exists and
-    lies outside it, which a principal S cannot have.  The sets come from
-    one ``_residual_masks`` table, scanned with u outer and v inner.
+    Every condition reads the residual sets S(u, v) = {w : u <= v + w},
+    up-sets by compatibility.  A (an adjoint w exists), B (S has a least
+    member) and D (the infimum of S lies in S) all say that S is
+    principal, and fail at (u, v).  C (adding v preserves every existing
+    infimum) fails at (v, M) exactly when M is a subset of some S(u, v)
+    whose infimum exists and lies outside it, which a principal S cannot
+    have.  The sets come from one ``_residual_masks`` table, scanned with
+    u outer and v inner.
     """
     lab = G.carrier
-    principal = G._up_of if mode == "inf" else G._down_of
-    for uv, S in enumerate(G._residual_masks(mode)):
-        if S in principal:
+    for uv, S in enumerate(G._residual_masks()):
+        if S in G._up_of:
             continue
         u, v = divmod(uv, G.size)
         if condition != "C":
             yield (lab[u], lab[v])
             continue
-        M = _c_failure(G, S, mode)
+        M = _c_failure(G, S)
         if M is not None:
             yield (lab[v], tuple(lab[m] for m in M))
 
@@ -314,7 +320,7 @@ def check_condition(G, condition, mode):
     """Decide one of the four residuation conditions exactly.
 
     mode "inf" checks the version whose residual sets are {w' : u <= v + w'}
-    and whose distribution law is over infima; mode "sup" is the mirror.
+    and whose distribution law is over infima; mode "sup" checks the dual.
     Witnesses of A, B and D are the pairs (u, v) whose residual set has no
     least (greatest) member; a witness of C is (v, M) where M has an
     infimum (supremum) e but v + e is not the infimum (supremum) of the
@@ -330,8 +336,9 @@ def check_condition(G, condition, mode):
         raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
+    H = G if mode == "inf" else G._dual
     witnesses = []
-    for w in _failures(G, condition, mode):
+    for w in _failures(H, condition):
         if w not in witnesses:
             witnesses.append(w)
             if len(witnesses) == MAX_WITNESSES:
@@ -357,9 +364,9 @@ def residual(G, u, v, mode):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    principal = G._up_of if mode == "inf" else G._down_of
-    w = principal.get(G._residual_mask(G.index(u), G.index(v), mode))
-    return None if w is None else G.carrier[w]
+    H = G if mode == "inf" else G._dual
+    w = H._up_of.get(H._residual_mask(H.index(u), H.index(v)))
+    return None if w is None else H.carrier[w]
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +438,13 @@ def _random_tables(rng, n):
         for j in range(n):
             if i != j and rank[i] < rank[j] and (chain or rng.random() < 0.6):
                 leq[i][j] = True
+    order = np.array(leq, dtype=bool)
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
-
-    # greatest compatible sub-relation
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(not leq[add[i][w]][add[j][w]] for w in range(n)):
-                    leq[i][j] = False
-                    changed = True
-    return add, leq
+        order |= order[:, k, None] & order[None, k, :]
+    # greatest compatible sub-relation: no compatible one holds a dropped pair
+    table = np.array(add, dtype=np.intp)
+    while True:
+        kept = order & _shifted(order, table).all(axis=2)
+        if (kept == order).all():
+            return add, order.tolist()
+        order = kept

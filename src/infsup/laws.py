@@ -38,8 +38,11 @@ def random_ext_values(rng, n, inf_prob=0.25):
     """Array of n extended reals on a quarter grid in [-20, 20].
 
     Each entry is +inf with probability inf_prob and -inf with
-    probability inf_prob (inf_prob <= 0.5), finite otherwise.
+    probability inf_prob, finite otherwise.  ValueError unless
+    0 <= inf_prob <= 0.5: beyond that the two draws would overlap.
     """
+    if not 0.0 <= inf_prob <= 0.5:
+        raise ValueError(f"inf_prob must lie in [0, 0.5], got {inf_prob!r}")
     vals = np.round(rng.uniform(-20, 20, size=n) * 4) / 4
     kind = rng.random(n)
     vals[kind < inf_prob] = np.inf

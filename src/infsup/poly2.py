@@ -25,15 +25,15 @@ h_{A+B} = h_A + h_B, and ``validate`` rebuilds the set from ``hs``.
 
 The two all-pairs steps run as numpy passes: ``_clip`` clips all k rows
 against each other (k^2 row pairs), and ``_max_dots`` takes the support
-values of many directions over all vertices at once; ``supports`` (the
-batch query under ``support``, ``minkowski`` and ``setvalued.residual``)
-and ``from_generators`` read it.  Both do the scalar arithmetic of a
-per-row loop in the same order, so their results are those of the loop
-bit for bit (``tests/test_poly2_arrays.py`` holds the loops).  Both
-take their rows in blocks of at most ``BLOCK`` pairs, so that their
-temporaries stay at a few ``BLOCK``-element arrays for any number of
-rows; the value comes from a measured time and peak-memory table
-(CHANGES.md).
+values of many directions over all vertices at once; ``support``,
+``supports`` (the batch query under ``minkowski`` and
+``setvalued.residual``) and ``from_generators`` read it.  Both do the
+scalar arithmetic of a per-row loop in the same order, so their results
+are those of the loop bit for bit (``tests/test_poly2_arrays.py`` holds
+the loops).  Both take their rows in blocks of at most ``BLOCK`` pairs,
+so that their temporaries stay at a few ``BLOCK``-element arrays for any
+number of rows; the value comes from a measured time and peak-memory
+table (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -242,6 +242,8 @@ class ConvexPoly2:
     # -- basic queries -------------------------------------------------------
 
     def contains(self, p):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise ValueError(f"point must be finite, got {p}")
         if self.empty:
             return False
         s = QUERY_TOL * (1 + _norm(p))
@@ -250,13 +252,21 @@ class ConvexPoly2:
     def support(self, d):
         """sup of d . z over the set; -inf when empty, +inf when a
         recession ray points along d."""
-        return self.supports([d])[0]
+        if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+            raise ValueError(f"direction must be finite, got {d}")
+        if self.empty:
+            return -INF
+        return float(_max_dots([d], *self._gens)[0])
 
     def supports(self, dirs):
         """``support`` of each direction in ``dirs``, as a list, in one array pass."""
+        D = np.asarray(dirs, dtype=float).reshape(-1, 2)
+        if not np.isfinite(D).all():
+            i = int(np.flatnonzero(~np.isfinite(D).all(axis=1))[0])
+            raise ValueError(f"direction must be finite, got {tuple(D[i].tolist())}")
         if self.empty:
-            return [-INF] * len(dirs)
-        return _max_dots(dirs, *self._gens).tolist()
+            return [-INF] * len(D)
+        return _max_dots(D, *self._gens).tolist()
 
     @cached_property
     def _gens(self):
@@ -264,6 +274,8 @@ class ConvexPoly2:
         return _generators(self.verts, self.rays)
 
     def recession_contains(self, d):
+        if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+            raise ValueError(f"direction must be finite, got {d}")
         if self.empty:
             return False
         s = QUERY_TOL * (1 + _norm(d))
@@ -398,7 +410,7 @@ def _max_dots(dirs, gens, npts):
     (a ray): the support value of conv(points) + cone(rays), as an array,
     over blocks of directions.  Ties keep the first maximum, as ``max``
     does, so a zero keeps its sign."""
-    D = np.array(dirs, dtype=float).reshape(-1, 2)
+    D = np.asarray(dirs, dtype=float).reshape(-1, 2)
     out = np.empty(len(D))
     step = max(1, BLOCK // gens.shape[1])
     with np.errstate(over="ignore"):

@@ -35,7 +35,6 @@ from infsup.functions import (
     DualElem,
     ImproperSplit,
     PLProper,
-    abs_fn,
     affine_eval,
     closure_hull,
     fn_allclose,
@@ -71,6 +70,13 @@ from infsup.laws import (
 )
 
 INF = math.inf
+
+
+def abs_fn():
+    """|x|, the workhorse example."""
+    return pl([(0.0, 0.0)], slope_left=-1.0, slope_right=1.0)
+
+
 BOT = UpReal.bottom()
 TOP = UpReal.top()
 DBOT = DownReal.bottom()
@@ -1041,6 +1047,15 @@ def test_entry_points_reject_foreign_arguments():
         conjugate(not_up, xi, 0.0)
     with pytest.raises(TypeError, match="not an up-space function"):
         conjugate_curve(not_up)
+    for call in (
+        lambda f: dirderiv(f, 0.0, 1.0),
+        lambda f: subdiff_extended(f, 0.0),
+        lambda f: is_subgradient(f, 0.0, xi),
+        lambda f: diff_quotient(f, 0.0, 1.0, 0.5),
+        lambda f: subdiff_conjugate_check(f, 0.0),
+    ):
+        with pytest.raises(TypeError, match="not an up-space function: float"):
+            call(1.5)
     with pytest.raises(TypeError, match="up-space functions"):
         infconv(g, not_up)
     with pytest.raises(TypeError, match="expects a DualElem"):

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from infsup.extreal import (
     UpReal,
     DownReal,
-    up,
-    down,
     isum,
     ssum,
     idif,
@@ -30,6 +28,7 @@ from infsup.extreal import (
 )
 
 INF = math.inf
+up, down = UpReal, DownReal
 TAGS = [-INF, 2.0, INF]
 
 # Frozen full difference tables over {Bottom, finite, Top} x {Bottom, finite, Top}.

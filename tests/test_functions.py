@@ -16,6 +16,7 @@ Independent routes used as oracles:
 import math
 import operator
 import re
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import infsup.calculus as calculus
 import infsup.extreal as xr
 import infsup.functions as functions
-from infsup.extreal import UpReal, up
+from infsup.extreal import UpReal
 from infsup.calculus import biconjugate, dirderiv, infconv, is_subgradient, subdiff_conjugate_check
 from infsup.functions import (
     COLLINEAR_TOL,
@@ -34,7 +35,6 @@ from infsup.functions import (
     DualElem,
     ImproperSplit,
     PLProper,
-    abs_fn,
     affine_eval,
     affine_split_dif,
     affine_split_sup,
@@ -55,6 +55,14 @@ from infsup.laws import (
 from test_size_rule import _single_inputs
 
 INF = math.inf
+up = UpReal
+
+
+def abs_fn():
+    """|x|, the workhorse example."""
+    return pl([(0.0, 0.0)], slope_left=-1.0, slope_right=1.0)
+
+
 TOP = UpReal.top()
 BOT = UpReal.bottom()
 
@@ -945,6 +953,8 @@ def test_function_readers_reject_non_functions():
     with pytest.raises(TypeError, match="not an up-space function"):
         fn_allclose(3.0, abs_fn())
     with pytest.raises(TypeError, match="not an up-space function"):
+        fn_allclose(abs_fn(), 3.0)
+    with pytest.raises(TypeError, match="not an up-space function"):
         closure_hull(3.0)
 
 
@@ -1024,6 +1034,90 @@ def test_function_equality():
     g = PLProper([0.0, 1.0, 2.0], [0.0, 1.0, 2.5], slope_left=-1.0, slope_right=2.0)
     assert f != g and g != f and not fn_allclose(f, g, tol=1.0)
 
+
+
+def _field_allclose(f, g, tol):
+    """``fn_allclose`` as a ladder over the variants and their fields, the reference for the key."""
+
+    def close(a, b):
+        if a is None or b is None:
+            return a is None and b is None
+        if math.isinf(a) or math.isinf(b):
+            return a == b
+        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+    if isinstance(f, ImproperSplit):
+        return isinstance(g, ImproperSplit) and close(f.lo, g.lo) and close(f.hi, g.hi)
+    if not isinstance(g, PLProper) or len(f.xs) != len(g.xs):
+        return False
+    return (
+        all(close(a, b) for a, b in zip(f.xs, g.xs))
+        and all(close(a, b) for a, b in zip(f.vs, g.vs))
+        and close(f.slope_left, g.slope_left)
+        and close(f.slope_right, g.slope_right)
+        and close(f.dom_lo, g.dom_lo)
+        and close(f.dom_hi, g.dom_hi)
+    )
+
+
+def _identity_corpus(seed, n):
+    """Seeded functions and near copies of them.
+
+    The four improper kinds (empty, whole line, a half-line and a bounded
+    interval), signed zeros, bounded sides without end slopes, and copies
+    with the breakpoints, the values or the end slopes nudged by one ulp or
+    by relative steps from 1e-12 to 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    out = [ConstTop(), ConstBottom(), improper_split(-INF, 0.0), improper_split(-0.0, INF), improper_split(0.0, 0.0)]
+    out += [PLProper([-0.0], [-0.0], -1.0, 1.0), PLProper([0.0, 1.0], [0.0, -0.0], None, 2.0, dom_lo=-0.0)]
+    while len(out) < n:
+        k = int(rng.integers(1, 5))
+        xs = np.sort(rng.choice(np.arange(-8, 9), size=k, replace=False)) / 4.0 * 10.0 ** rng.integers(-3, 4)
+        vs = rng.integers(-8, 9, size=k) / 4.0
+        bounded = rng.random(2) < 0.3
+        f = PLProper(
+            xs.tolist(), vs.tolist(),
+            None if bounded[0] else float(rng.integers(-8, 1)),
+            None if bounded[1] else float(rng.integers(1, 9)),
+            xs[0] if bounded[0] else -INF,
+            xs[-1] if bounded[1] else INF,
+        )
+        lo, hi = sorted(rng.integers(-8, 9, size=2) / 4.0)
+        g = improper_split(-INF if rng.random() < 0.2 else lo, INF if rng.random() < 0.2 else hi)
+        out += [f, g]
+        for step in (None, 1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            nudge = (lambda x: math.nextafter(x, INF)) if step is None else (lambda x: x * (1 + step) + step)
+            fields = [f.xs, f.vs, [f.slope_left, f.slope_right]]
+            i = int(rng.integers(3))
+            fields[i] = [x if x is None else nudge(x) for x in fields[i]]
+            try:
+                out.append(PLProper(*fields[:2], *fields[2], f.dom_lo, f.dom_hi))
+            except ValueError:
+                pass
+            out.append(improper_split(nudge(g.lo) if math.isfinite(g.lo) else g.lo, g.hi))
+    return out
+
+
+def test_the_key_decides_like_the_field_ladder():
+    fns = _identity_corpus(3, 110)
+    for tol in (0.0, 1e-9, 1e-3, 1.0):
+        for f in fns:
+            for g in fns:
+                assert fn_allclose(f, g, tol) == _field_allclose(f, g, tol), (f, g, tol)
+    for f in fns:
+        for g in fns:
+            assert (f == g) == _field_allclose(f, g, 0.0), (f, g)
+            assert f != g or hash(f) == hash(g), (f, g)
+
+
+def test_a_set_of_distinct_functions_builds_fast():
+    rng = np.random.default_rng(0)
+    fns = [PLProper([0.0, 1.0], [0.0, float(v)], -1.0, 4.0) for v in rng.permutation(3000)]
+    start = time.perf_counter()
+    distinct = set(fns)
+    assert time.perf_counter() - start < 1.0
+    assert len(distinct) == 3000 and len(set(fns + fns[:10])) == 3000
 
 def _stored_bits(f):
     """Every number a function or dual element stores, as exact hex strings."""

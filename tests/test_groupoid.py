@@ -6,6 +6,7 @@ import pytest
 
 from infsup import extreal as xr
 from infsup.groupoid import (
+    CONDITIONS,
     MAX_WITNESSES,
     FiniteOrderedGroupoid,
     ConditionReport,
@@ -604,16 +605,16 @@ def test_c_equals_full_enumeration_on_unfiltered_draws():
 def _loop_failures(G, condition, mode):
     """The witness scan ``check_condition`` ran with one ``_residual_mask`` per (u, v)."""
     lab = G.carrier
-    principal = G._up_of if mode == "inf" else G._down_of
+    H = G if mode == "inf" else G._dual
     for u in range(G.size):
         for v in range(G.size):
-            S = G._residual_mask(u, v, mode)
-            if S in principal:
+            S = H._residual_mask(u, v)
+            if S in H._up_of:
                 continue
             if condition != "C":
                 yield (lab[u], lab[v])
                 continue
-            M = _c_failure(G, S, mode)
+            M = _c_failure(H, S)
             if M is not None:
                 yield (lab[v], tuple(lab[m] for m in M))
 
@@ -635,9 +636,9 @@ def test_the_residual_table_matches_the_scalar_masks():
         for x in range(n):
             assert G._up[x] == sum(1 << y for y in range(n) if G.leq[x][y])
             assert G._down[x] == sum(1 << y for y in range(n) if G.leq[y][x])
-        for mode in ("inf", "sup"):
-            want = [G._residual_mask(u, v, mode) for u in range(n) for v in range(n)]
-            assert G._residual_masks(mode) == want, (G.carrier, mode)
+        for H in (G, G._dual):
+            want = [H._residual_mask(u, v) for u in range(n) for v in range(n)]
+            assert H._residual_masks() == want, (G.carrier, H is G)
 
 
 def test_checks_read_the_table_not_the_scalar_masks(monkeypatch):
@@ -661,3 +662,85 @@ def test_reports_match_the_loop_reference():
         for mode in ("inf", "sup"):
             for c in "ABCD":
                 assert repr(check_condition(G, c, mode)) == repr(_loop_report(G, c, mode))
+
+
+# ---------------------------------------------------------------------------
+# Mode sup on a structure is mode inf on its order-dual, and the generator's
+# array passes are the loops they replaced.
+# ---------------------------------------------------------------------------
+
+
+def _transposed(G):
+    """The order-dual of G, built and validated from scratch."""
+    table = [[G.carrier[k] for k in row] for row in G.add]
+    return FiniteOrderedGroupoid(G.carrier, table, [list(col) for col in zip(*G.leq)])
+
+
+def test_the_dual_is_the_validated_transposed_structure():
+    rng = np.random.default_rng(11)
+    carriers = _reference_carriers() + [saturating((9, 8))]
+    carriers += [random_groupoid(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    for G in carriers:
+        D, T = G._dual, _transposed(G)
+        assert D._dual is G and isinstance(D, FiniteOrderedGroupoid)
+        assert (D.carrier, D.add, D.leq) == (T.carrier, T.add, T.leq)
+        assert (D._up, D._down, D._up_of, D._down_of) == (T._up, T._down, T._up_of, T._down_of)
+        assert np.array_equal(D._leq, T._leq) and np.array_equal(D._add, T._add)
+        assert D.is_lattice() == G.is_lattice()
+        for c in CONDITIONS:
+            assert check_condition(G, c, "sup").witnesses == check_condition(T, c, "inf").witnesses
+            assert check_condition(G, c, "inf").witnesses == check_condition(T, c, "sup").witnesses
+        for u in G.carrier:
+            for v in G.carrier:
+                assert residual(G, u, v, "sup") == residual(T, u, v, "inf")
+
+
+def _loop_random_tables(rng, n):
+    """``_random_tables`` with its closure and shrink as the nested loops it had."""
+    ranking = [int(x) for x in rng.permutation(n)]
+    rank = {e: r for r, e in enumerate(ranking)}
+    add = [[0] * n for _ in range(n)]
+    style = rng.random()
+    for i in range(n):
+        for j in range(i, n):
+            if style < 0.4:
+                k = int(rng.integers(n))
+            elif style < 0.7:
+                k = ranking[min(rank[i] + rank[j], n - 1)]
+            else:
+                k = ranking[max(rank[i], rank[j])]
+            add[i][j] = add[j][i] = k
+    if style >= 0.4 and rng.random() < 0.3 and n > 1:
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        k = int(rng.integers(n))
+        add[i][j] = add[j][i] = k
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    chain = rng.random() < 0.5
+    for i in range(n):
+        for j in range(n):
+            if i != j and rank[i] < rank[j] and (chain or rng.random() < 0.6):
+                leq[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if leq[i][k] and leq[k][j]:
+                    leq[i][j] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or not leq[i][j]:
+                    continue
+                if any(not leq[add[i][w]][add[j][w]] for w in range(n)):
+                    leq[i][j] = False
+                    changed = True
+    return add, leq
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_random_tables_match_the_loops(n):
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _random_tables(rng, n) == _loop_random_tables(ref, n), (seed, n)
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, n)

@@ -11,8 +11,9 @@ A helper whose last caller went away is dead code, and the scan fails
 on it; a reference is a name or an attribute with the helper's name in
 any module, so an import alone does not count.  Every public function,
 class and method of the package is referenced, in the same sense,
-somewhere in the package, the bench or the tests: a public name with
-no caller and no test is deleted.
+somewhere in the package or the bench: a public name that only tests
+call has no consumer, and is deleted or moved into the tests.  The
+paper statements listed in ``AWAITING_CLI`` are the exception.
 
 No module holds an ``assert`` statement or reads ``__debug__``.
 ``python -O`` strips both, so a library check resting on either would
@@ -135,9 +136,34 @@ def test_scan_finds_an_unreferenced_public_def():
     assert unreferenced_public_defs({"a": a}, {"b": b + "Gone().method(), dead\n"}) == []
 
 
+# Statements of the paper that only the tests run so far: the split laws,
+# the inf-dual's conlinear structure, the difference quotient that defines
+# the directional derivative, the hat minorant witness, the equivalence of
+# conditions A-D, the sup of G(R^2, C) and the inf and sup of finite sets of
+# extended reals.  Their consumer is the planned ``infsup laws`` command,
+# whose law suites will run them; each leaves this list when it gets a
+# caller in the package or the bench.
+AWAITING_CLI = [
+    ("calculus.py", "diff_quotient"),
+    ("calculus.py", "hat_minorant_witness"),
+    ("extreal.py", "inf_down"),
+    ("extreal.py", "inf_up"),
+    ("extreal.py", "sup_down"),
+    ("extreal.py", "sup_up"),
+    ("functions.py", "affine_split_dif"),
+    ("functions.py", "affine_split_sup"),
+    ("functions.py", "dual_add"),
+    ("functions.py", "dual_scale"),
+    ("groupoid.py", "check_equivalence"),
+    ("laws.py", "check_conlinear"),
+    ("laws.py", "is_conlinear"),
+    ("setvalued.py", "sup"),
+]
+
+
 def test_package_has_no_unreferenced_public_defs():
     root = PACKAGE.parent.parent
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    users = {str(p.relative_to(root)): p.read_text() for d in ("bench", "tests") for p in sorted((root / d).glob("*.py"))}
+    users = {str(p.relative_to(root)): p.read_text() for p in sorted((root / "bench").glob("*.py"))}
     assert users
-    assert unreferenced_public_defs(sources, users) == []
+    assert unreferenced_public_defs(sources, users) == AWAITING_CLI

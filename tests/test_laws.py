@@ -107,6 +107,9 @@ def test_random_ext_values_keeps_its_contract():
         assert len(set(fin.tolist())) == (0 if inf_prob == 0.5 else 161)
         for sign in (1, -1):
             assert abs(np.mean(vals == sign * np.inf) - inf_prob) <= 0.015, (inf_prob, sign)
+    for inf_prob in (0.6, -0.1, math.nan):
+        with pytest.raises(ValueError, match="inf_prob"):
+            random_ext_values(np.random.default_rng(31), 10, inf_prob)
 
 
 def test_equal_dual_elements_have_equal_values():
@@ -143,7 +146,7 @@ def test_hats_of_one_sign_are_different_elements():
 
 def _shifted(t, x):
     """t*x + t(1 - t): additive only at t = 0 and t = 1."""
-    return xr.isum(xr.scale(t, x), xr.up(float(t * (1 - t))))
+    return xr.isum(xr.scale(t, x), xr.UpReal(float(t * (1 - t))))
 
 
 # Broken operations on UpReal, and the exact set of axioms each one breaks.
@@ -155,7 +158,7 @@ BROKEN = {
         {"C1-associative", "C1-neutral"},
     ),
     "shifted-sum": (
-        lambda x, y: xr.isum(xr.isum(x, y), xr.up(1.0)),
+        lambda x, y: xr.isum(xr.isum(x, y), xr.UpReal(1.0)),
         xr.scale,
         {"C1-neutral", "C2-i"},
     ),

@@ -141,6 +141,21 @@ def test_rejects_non_finite_generators():
         ConvexPoly2.from_generators([], [(-math.inf, 0.0)])
 
 
+def test_queries_reject_non_finite_input():
+    T = ConvexPoly2.from_generators([(0, 0), (1, 0.1), (0.3, 1)])
+    for P in (T, ConvexPoly2.empty_set()):
+        with pytest.raises(ValueError, match=r"point must be finite, got \(inf, 0\.0\)"):
+            P.contains((math.inf, 0.0))
+        with pytest.raises(ValueError, match=r"direction must be finite, got \(inf, 1\.0\)"):
+            P.recession_contains((math.inf, 1.0))
+        with pytest.raises(ValueError, match=r"direction must be finite, got \(inf, 0\.0\)"):
+            P.support((math.inf, 0.0))
+        with pytest.raises(ValueError, match=r"direction must be finite, got \(1\.0, nan\)"):
+            P.supports([(1.0, 0.0), (1.0, math.nan), (-math.inf, 0.0)])
+    assert T.contains((0.3, 0.3)) and T.recession_contains((0.0, 0.0))
+    assert T.supports([(1.0, 0.0), (0.0, 1.0)]) == [T.support((1.0, 0.0)), T.support((0.0, 1.0))]
+
+
 @pytest.mark.parametrize("s", [1e-9, 1e-12])
 def test_generators_far_below_unit_size(s):
     # the hull rounds, and an edge gives its normal, relative to the data's size
