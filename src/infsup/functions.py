@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -463,20 +463,37 @@ def pl(breaks, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
 # ---------------------------------------------------------------------------
 
 
-def _key(f):
-    """The canonical fields of the up-space function f as one flat tuple.
+def _variant(f):
+    """The variant name of the up-space function f and its breakpoint count (0 for ``ImproperSplit``).
 
-    The variant's name comes first, then its fields: ``lo``, ``hi`` of an
-    ``ImproperSplit``; ``xs``, ``vs``, the end slopes (None where absent)
-    and the domain bounds of a ``PLProper``.  Two ``PLProper`` keys of one
-    length have equally many breakpoints, so their fields line up.
     Raises TypeError for anything that is not an up-space function.
     """
     if isinstance(f, PLProper):
-        return ("PLProper", *f.xs, *f.vs, f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+        return "PLProper", len(f.xs)
     if isinstance(f, ImproperSplit):
-        return ("ImproperSplit", f.lo, f.hi)
+        return "ImproperSplit", 0
     raise TypeError(f"not an up-space function: {type(f).__name__}")
+
+
+def _fields(f):
+    """The canonical fields of the up-space function f, in key order, as one iterator.
+
+    ``lo``, ``hi`` of an ``ImproperSplit``; ``xs``, ``vs``, the end slopes
+    (None where absent) and the domain bounds of a ``PLProper``.
+    """
+    if isinstance(f, PLProper):
+        return chain(f.xs, f.vs, (f.slope_left, f.slope_right, f.dom_lo, f.dom_hi))
+    return iter((f.lo, f.hi))
+
+
+def _key(f):
+    """The canonical key of the up-space function f: its variant name, then :func:`_fields`, as one tuple.
+
+    Two ``PLProper`` keys of one length have equally many breakpoints, so
+    their fields line up.  Raises TypeError for anything that is not an
+    up-space function.
+    """
+    return (_variant(f)[0], *_fields(f))
 
 
 def _close(a, b, tol):
@@ -494,10 +511,15 @@ def fn_allclose(f, g, tol=1e-9):
     ``|a - b| <= tol * max(1, |a|, |b|)``, so ``tol`` is absolute below 1
     and relative above, and ``tol=0`` is ``==``, function equality.
     Raises TypeError when f or g is not an up-space function.
+
+    Variants and breakpoint counts are compared first; then the fields
+    are walked in step, and the walk stops at the first pair that differs.
     """
-    a, b = _key(f), _key(g)
-    return len(a) == len(b) and all(
-        x == y or (isinstance(x, float) and isinstance(y, float) and _close(x, y, tol)) for x, y in zip(a, b)
+    if _variant(f) != _variant(g):
+        return False
+    return all(
+        x == y or (isinstance(x, float) and isinstance(y, float) and _close(x, y, tol))
+        for x, y in zip(_fields(f), _fields(g))
     )
 
 

@@ -23,8 +23,12 @@ mode inf, and ``check_condition`` and ``residual`` pick G or its dual.
 
 Each ``check_condition`` call builds every residual set in one numpy
 gather, R[u, v, w] = leq[u][add[v][w]], an n^3-byte boolean table that
-lives only for that call.  Nothing derived from a check is cached on the
-structure, so timing repeated checks times the check and not a lookup.
+lives only for that call.  A ``residual`` query builds its one set in one
+C call: each structure keeps the rows of its table and of its order as
+bytes, and ``add[v].translate(leq[u])`` is S(u, v) as n bytes, principal
+iff it equals the up-set row of some x, its least element.  Nothing
+derived from a check or a query is kept per (u, v), so timing repeated
+checks or queries times the work and not a lookup.
 
 Elements are opaque labels; nothing here assumes numeric semantics.
 """
@@ -46,6 +50,9 @@ MAX_WITNESSES = 25
 # Draws random_groupoid makes before it gives up on a carrier size.
 MAX_TRIES = 400
 
+# Largest carrier: ``residual`` reads table entries as bytes.
+MAX_SIZE = 256
+
 
 def _to_index(index, label, where):
     try:
@@ -57,13 +64,16 @@ def _to_index(index, label, where):
 def _carrier_and_table(carrier, add):
     """The carrier as a tuple, its label -> index map, and ``add`` as an index table.
 
-    Raises ValueError for an empty carrier, repeated labels, a table that
-    is not n x n, or an entry outside the carrier (naming the entry).
+    Raises ValueError for an empty carrier, one of more than ``MAX_SIZE``
+    elements, repeated labels, a table that is not n x n, or an entry
+    outside the carrier (naming the entry).
     """
     carrier = tuple(carrier)
     n = len(carrier)
     if n == 0:
         raise ValueError("carrier must be nonempty")
+    if n > MAX_SIZE:
+        raise ValueError(f"carrier has {n} elements, more than the limit of {MAX_SIZE}")
     if len(set(carrier)) != n:
         raise ValueError("carrier labels must be distinct")
     index = {lab: i for i, lab in enumerate(carrier)}
@@ -98,6 +108,19 @@ def _row_masks(rows):
     return masks
 
 
+def _byte_rows(leq):
+    """The rows of an n x n boolean order as 0/1 ``bytes.translate`` tables, and a map back.
+
+    Each row is zero-padded to 256 bytes; the map takes a row's first n
+    bytes to its index.
+    """
+    n = len(leq)
+    padded = np.zeros((n, 256), dtype=np.uint8)
+    padded[:, :n] = leq
+    rows = [row.tobytes() for row in padded]
+    return rows, {row[:n]: x for x, row in enumerate(rows)}
+
+
 def _shifted(leq, add):
     """The compatibility gather: entry [i, j, w] is leq[add[i][w]][add[j][w]], whether i + w <= j + w."""
     return leq[add[:, None, :], add[None, :, :]]
@@ -112,14 +135,27 @@ class FiniteOrderedGroupoid:
     raises ValueError with the offending entries.  The triple axioms
     (transitivity, compatibility) are two n^3 boolean array passes.
 
+    A carrier has at most ``MAX_SIZE`` = 256 elements, so that every
+    table entry fits in a byte; a larger one raises ValueError before its
+    table is read.  The limit costs little: ``check_condition``'s n^3
+    table is already 16.7 MB at n = 256.
+
     Order queries run on integer bitmasks: ``_down[y]`` has bit x set iff
     x <= y, ``_up[x]`` has bit y set iff x <= y.  By antisymmetry each
     principal down-set (up-set) belongs to one element, which
     ``_down_of`` (``_up_of``) maps it back to.  ``_leq`` and ``_add`` hold
     the input order and table as numpy arrays for the residual-set
     gather of ``check_condition``, which stores nothing on the instance.
-    ``_dual`` is the order-dual (``leq`` transposed, up and down maps
-    swapped), whose ``_dual`` is this structure.
+
+    ``residual`` reads the same order and table as bytes: ``_adds[v]`` is
+    add row v, ``_rows[x]`` is leq row x as 0/1 bytes padded to 256 (a
+    ``bytes.translate`` table), and ``_row_of`` maps a row's first n bytes
+    back to x.  They take about n^2 + 256 n bytes, built once; no
+    residual set is stored.
+
+    ``_dual`` is the order-dual: ``leq`` transposed, the up and down maps
+    swapped, the byte rows built from the transpose, and the table shared.
+    Its ``_dual`` is this structure.
     """
 
     def __init__(self, carrier, add, leq):
@@ -137,6 +173,8 @@ class FiniteOrderedGroupoid:
         self._down = _row_masks(self._leq.T)
         self._up_of = {m: x for x, m in enumerate(self._up)}
         self._down_of = {m: y for y, m in enumerate(self._down)}
+        self._adds = [row.tobytes() for row in self._add.astype(np.uint8)]
+        self._rows, self._row_of = _byte_rows(self._leq)
 
         # every axiom is self-dual, so the dual skips validation; copy.copy would
         # give it a plain __dict__, which slows the attribute reads of a check
@@ -144,6 +182,7 @@ class FiniteOrderedGroupoid:
         dual.carrier, dual._index, dual.add, dual._add = self.carrier, self._index, self.add, self._add
         dual.leq, dual._leq, dual._dual = self._leq.T.tolist(), self._leq.T, self
         dual._up, dual._down, dual._up_of, dual._down_of = self._down, self._up, self._down_of, self._up_of
+        dual._adds, (dual._rows, dual._row_of) = self._adds, _byte_rows(dual._leq)
 
     def _validate(self):
         """Raise ValueError at the first violated axiom, in the order of a plain loop.
@@ -205,18 +244,6 @@ class FiniteOrderedGroupoid:
     def _pair_bound(self, a, b):
         """Meet of elements a and b, or None."""
         return self._down_of.get(self._down[a] & self._down[b])
-
-    def _residual_mask(self, u, v):
-        """Indices w' with u <= v+w', as a mask.
-
-        One set for a scalar query; ``_residual_masks`` builds all n^2.
-        """
-        target = self._up[u]
-        mask = 0
-        for w, s in enumerate(self.add[v]):
-            if target >> s & 1:
-                mask |= 1 << w
-        return mask
 
     def _residual_masks(self):
         """Every residual set as a mask; S(u, v) is at index u * n + v.
@@ -361,11 +388,18 @@ def residual(G, u, v, mode):
     mode "inf": least w' with u <= v + w'.  mode "sup": greatest w' with
     v + w' <= u.  Returns the label, or None when the set has no
     least/greatest member (including when it is empty).
+
+    One ``bytes.translate`` builds the residual set: byte w of
+    ``_adds[v].translate(_rows[u])`` is leq[u][add[v][w]] (on the dual
+    for mode "sup").  The set is principal iff it is the up-set row of
+    some x, and then x is its least member.  Each call builds its own
+    set; nothing is kept per (u, v).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
     H = G if mode == "inf" else G._dual
-    w = H._up_of.get(H._residual_mask(H.index(u), H.index(v)))
+    i, j = H.index(u), H.index(v)
+    w = H._row_of.get(H._adds[j].translate(H._rows[i]))
     return None if w is None else H.carrier[w]
 
 
@@ -390,11 +424,12 @@ def random_groupoid(rng, size):
     structure alive at size six.  Degenerate draws are discarded, and
     so are draws whose surviving order is not a lattice: the four-way
     equivalence of the residuation conditions is a statement about
-    lattice orders, and it genuinely fails on bare posets.
+    lattice orders, and it genuinely fails on bare posets.  A size outside
+    1..``MAX_SIZE`` raises ValueError before any draw.
     """
     n = int(size)
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    if not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"size must be in 1..{MAX_SIZE}, got {n}")
     labels = [f"e{i}" for i in range(n)]
     for _ in range(MAX_TRIES):
         add, leq = _random_tables(rng, n)

@@ -7,6 +7,7 @@ import pytest
 from infsup import extreal as xr
 from infsup.groupoid import (
     CONDITIONS,
+    MAX_SIZE,
     MAX_WITNESSES,
     FiniteOrderedGroupoid,
     ConditionReport,
@@ -227,7 +228,7 @@ def test_structures_reject_bad_shapes():
         FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1, 1]])
     with pytest.raises(ValueError, match="leq matrix"):
         FiniteOrderedGroupoid(CHAIN, UP_ADD, [[1, 1, 1], [0, 1], [0, 0, 1]])
-    for size in (0, -3):
+    for size in (0, -3, MAX_SIZE + 1):
         with pytest.raises(ValueError, match="size must be"):
             random_groupoid(np.random.default_rng(0), size)
 
@@ -597,9 +598,27 @@ def test_c_equals_full_enumeration_on_unfiltered_draws():
 
 
 # ---------------------------------------------------------------------------
-# The residual-set table against the scalar masks, and the reports against
-# the loop that built one mask per pair.
+# The residual-set table and the byte-table residuals against the scalar
+# loop that built one mask per pair, and the reports against the scan that
+# read it.
 # ---------------------------------------------------------------------------
+
+
+def _residual_mask(G, u, v):
+    """Indices w' with u <= v+w' as a mask, one bit test per w'."""
+    target = G._up[u]
+    mask = 0
+    for w, s in enumerate(G.add[v]):
+        if target >> s & 1:
+            mask |= 1 << w
+    return mask
+
+
+def _loop_residual(G, u, v, mode):
+    """The residual through the loop's mask and ``_up_of``, the reference for the byte tables."""
+    H = G if mode == "inf" else G._dual
+    w = H._up_of.get(_residual_mask(H, H.index(u), H.index(v)))
+    return None if w is None else H.carrier[w]
 
 
 def _loop_failures(G, condition, mode):
@@ -608,7 +627,7 @@ def _loop_failures(G, condition, mode):
     H = G if mode == "inf" else G._dual
     for u in range(G.size):
         for v in range(G.size):
-            S = H._residual_mask(u, v)
+            S = _residual_mask(H, u, v)
             if S in H._up_of:
                 continue
             if condition != "C":
@@ -637,31 +656,63 @@ def test_the_residual_table_matches_the_scalar_masks():
             assert G._up[x] == sum(1 << y for y in range(n) if G.leq[x][y])
             assert G._down[x] == sum(1 << y for y in range(n) if G.leq[y][x])
         for H in (G, G._dual):
-            want = [H._residual_mask(u, v) for u in range(n) for v in range(n)]
+            want = [_residual_mask(H, u, v) for u in range(n) for v in range(n)]
             assert H._residual_masks() == want, (G.carrier, H is G)
 
 
 def test_checks_read_the_table_not_the_scalar_masks(monkeypatch):
+    # checks gather the whole table; a residual query builds its own set and never the table
     carriers = [saturating((16,)), saturating((4, 4)), nonlattice6(), crown8(), up3()]
     want = [repr(check_condition(G, c, m)) for G in carriers for c in "ABCD" for m in ("inf", "sup")]
+    assert want == [repr(_loop_report(G, c, m)) for G in carriers for c in "ABCD" for m in ("inf", "sup")]
+    pairs = [(G, u, v, m) for G in carriers for u in G.carrier for v in G.carrier for m in ("inf", "sup")]
+    want_res = [_loop_residual(*p) for p in pairs]
 
-    def scalar_mask(*args):
-        raise AssertionError("check_condition built a residual set by the scalar loop")
+    def table(*args):
+        raise AssertionError("residual built the n^3 residual-set table")
 
-    monkeypatch.setattr(FiniteOrderedGroupoid, "_residual_mask", scalar_mask)
+    monkeypatch.setattr(FiniteOrderedGroupoid, "_residual_masks", table)
+    assert [residual(*p) for p in pairs] == want_res
+    monkeypatch.undo()
     got = [repr(check_condition(G, c, m)) for G in carriers for c in "ABCD" for m in ("inf", "sup")]
     assert got == want
 
 
-def test_reports_match_the_loop_reference():
+def _loop_carriers():
     carriers = [saturating((n,)) for n in (16, 32, 48)]
     carriers += [saturating((4, 4)), saturating((6, 8)), nonlattice6(), pinned7(), crown8()]
     rng = np.random.default_rng(5)
-    carriers += [random_groupoid(rng, int(rng.integers(1, 9))) for _ in range(200)]
-    for G in carriers:
+    return carriers + [random_groupoid(rng, int(rng.integers(1, 9))) for _ in range(200)]
+
+
+def test_reports_match_the_loop_reference():
+    for G in _loop_carriers():
         for mode in ("inf", "sup"):
             for c in "ABCD":
                 assert repr(check_condition(G, c, mode)) == repr(_loop_report(G, c, mode))
+
+
+def test_residuals_match_the_loop_reference():
+    # saturating((9, 8)) has 72 elements: its masks span two 64-bit words
+    carriers = _reference_carriers() + [saturating((9, 8))] + _loop_carriers()
+    for G in carriers:
+        for mode in ("inf", "sup"):
+            for u in G.carrier:
+                for v in G.carrier:
+                    assert residual(G, u, v, mode) == _loop_residual(G, u, v, mode), (G.carrier, u, v, mode)
+
+
+def test_carrier_size_is_limited_to_a_byte():
+    # the limit is checked before the table is read, so no table is needed
+    with pytest.raises(ValueError, match=f"more than the limit of {MAX_SIZE}"):
+        FiniteOrderedGroupoid(range(MAX_SIZE + 1), None, None)
+    G = saturating((MAX_SIZE,))
+    assert G.size == MAX_SIZE and G._adds[-1][-1] == MAX_SIZE - 1
+    rng = np.random.default_rng(256)
+    for u, v in rng.integers(MAX_SIZE, size=(300, 2)):
+        u, v = G.carrier[u], G.carrier[v]
+        for mode in ("inf", "sup"):
+            assert residual(G, u, v, mode) == _loop_residual(G, u, v, mode), (u, v, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +737,7 @@ def test_the_dual_is_the_validated_transposed_structure():
         assert (D.carrier, D.add, D.leq) == (T.carrier, T.add, T.leq)
         assert (D._up, D._down, D._up_of, D._down_of) == (T._up, T._down, T._up_of, T._down_of)
         assert np.array_equal(D._leq, T._leq) and np.array_equal(D._add, T._add)
+        assert (D._adds, D._rows, D._row_of) == (T._adds, T._rows, T._row_of)
         assert D.is_lattice() == G.is_lattice()
         for c in CONDITIONS:
             assert check_condition(G, c, "sup").witnesses == check_condition(T, c, "inf").witnesses
