@@ -51,21 +51,26 @@ INF = math.inf
 # alone survives when it exceeds 1e-12.
 COLLINEAR_TOL = 1e-12
 
-# The size rule of the O(k) passes: from this many breakpoints on, the
-# constructor's prune and convexity test, the transform values of a
-# convex function in ``calculus._pl_legendre``, and
-# ``calculus._epigraph_sum`` (both operands counted) compute their chord
-# slopes as float64 arrays (:func:`_chords`).  The prune skips its stack
-# loop when the arrays show that it would pop nothing; otherwise the loop
-# runs as below the rule.  Both routes round every number alike, so the
-# output is the same bit for bit.  The rule only picks array or list
-# arithmetic; whether a hull pass runs is decided by convexity alone.
-# Below the rule a pass costs one extra size comparison.  Crossover on
-# 2 vCPU, convex random-slope data, best of 5: at k = 4 and 16 every
-# array route is 1.5-8x slower; at 64 the constructor and the transform
-# break even while the merge is still up to 2x slower; at 256 every
-# route but the merge is 1.2-1.9x faster, and the merge breaks even at
-# about 384 breakpoints in all.  So the rule sits at 256.
+# The size rule of the O(k) passes.  From this many breakpoints on, the
+# constructor checks a sequence input on float64 arrays
+# (:func:`_checked_arrays`) and takes its chord slopes from them
+# (:func:`_slopes`) for its prune and convexity test; it does so for a
+# float64 array input at every size.  ``calculus._pl_legendre`` (the
+# transform of a convex function) and ``calculus._epigraph_sum`` (both
+# operands counted) read their operands as arrays (:func:`_chords`) and
+# hand their results to the constructor as arrays, which it turns into
+# lists once.  The prune skips its stack loop when the arrays show that
+# it would pop nothing; otherwise the loop runs as below the rule.  Both
+# routes round every number alike, so the output is the same bit for bit.
+# The rule only picks array or list arithmetic; whether a hull pass runs
+# is decided by convexity alone.  Below the rule a list input costs one
+# size comparison and one type test more, and a bounded side one test of
+# None more.  Crossover on 2 vCPU, convex random-slope data, list inputs,
+# best of 5: at k = 4 and 16 every array route is 1.5-8x slower; at 64
+# the constructor and the transform break even; at 256 they are
+# 1.2-1.9x faster.  So the rule sits at 256.  The merge, timed with the
+# constructor of its result (best of 200), is 0.7x the walk's speed at 64
+# breakpoints in all, 1.3x at 128 and 1.5-2.8x from 256 to 2 * 10^5.
 ARRAY_MIN_K = 256
 
 
@@ -76,16 +81,61 @@ def _require_finite(x, what):
     return x
 
 
-def _chords(xs, vs):
-    """The lists xs, vs as float64 arrays x, v, with their chord slopes s.
+def _slopes(x, v):
+    """The chord slopes (v[i + 1] - v[i]) / (x[i + 1] - x[i]) of float64 arrays x, v.
 
     numpy rounds each subtraction and the division as the stack loops
-    do, so s[i] is the loops' (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-    bit for bit; differences that overflow give inf or nan there too.
+    do, so each slope is the loops' bit for bit; differences that
+    overflow give inf or nan there too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v[1:] - v[:-1]) / (x[1:] - x[:-1])
+
+
+def _chords(xs, vs):
+    """The lists xs, vs as float64 arrays x, v, with their chord slopes :func:`_slopes`.
+
+    Only the transforms' operand reads use it (``calculus._pl_legendre``
+    and ``calculus._epigraph_sum``); the constructor takes its arrays from
+    :func:`_checked_arrays`.  At 10^5 breakpoints it takes about 4 ms
+    (2 vCPU), nearly all of it in the two ``np.fromiter`` reads.
     """
     x, v = np.fromiter(xs, float, len(xs)), np.fromiter(vs, float, len(vs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x, v, (v[1:] - v[:-1]) / (x[1:] - x[:-1])
+    return x, v, _slopes(x, v)
+
+
+def _checked_arrays(xs, vs):
+    """The breakpoint checks of :class:`PLProper` on arrays: a sequence of ARRAY_MIN_K or more, or an array.
+
+    Each of xs, vs is a float64 array (a transform's output) or a
+    sequence of numbers.  Returns the lists xs, vs and the float64
+    arrays xa, va of the same floats.  A sequence becomes the list of its
+    floats, ``list(map(float, ...))``, which holds the caller's own float
+    objects, and one ``np.fromiter``; an array becomes one ``tolist``.
+    The checks and their messages are the list route's: equal lengths,
+    finite entries (naming the first bad index), strictly increasing
+    positions, and no span that overflows.
+    """
+    pair = []
+    for a in (xs, vs):
+        if isinstance(a, np.ndarray):
+            a = np.asarray(a, float)
+            pair.append((a.tolist(), a))
+        else:
+            a = list(map(float, a))
+            pair.append((a, np.fromiter(a, float, len(a))))
+    (xs, xa), (vs, va) = pair
+    if len(xs) == 0 or len(xs) != len(vs):
+        raise ValueError("need equally many breakpoint positions and values, at least one")
+    for what, a in (("breakpoint x", xa), ("breakpoint value v", va)):
+        finite = np.isfinite(a)
+        if not finite.all():
+            i = int(finite.argmin())
+            _require_finite(a[i], f"{what}[{i}]")
+    if not (xa[1:] > xa[:-1]).all():
+        raise ValueError("breakpoints must be strictly increasing")
+    _require_finite_span(xs)
+    return xs, vs, xa, va
 
 
 def _any_within_tol(s):
@@ -249,13 +299,20 @@ class PLProper(UpFunction):
     for :meth:`is_convex`, which picks every hull route: a convex
     function is its own hull, and only a non-convex one runs the stack.
 
-    The constructor's slope pass follows the size rule ARRAY_MIN_K.
-    From that many breakpoints on, it computes the chord slopes as an
-    array, skips its prune stack when no two neighbours lie within
+    The constructor follows the size rule ARRAY_MIN_K.  From that many
+    breakpoints on, or at any size when ``xs`` is a float64 array (the
+    transforms pass theirs), it runs the breakpoint checks in numpy with
+    the list route's messages (:func:`_checked_arrays`), clips the arrays
+    along with the lists, and computes the chord slopes from its arrays.
+    It skips its prune stack when no two neighbours lie within
     COLLINEAR_TOL, because the stack would pop nothing, and tests the
-    slopes on the array.  Measured on convex random-slope data (2 vCPU),
-    the array route is even with the stack at k = 64, 1.6x faster at
-    256 and 2.5x at 10^5.
+    slopes on the array.  Either way it stores lists of Python floats: an
+    array becomes one ``tolist``, and a list keeps the caller's own float
+    objects, so a caller that keeps its lists does not hold every number
+    twice.  Measured on convex random-slope data (2 vCPU), the array
+    route is even with the stack at k = 64, 1.6x faster at 256 and 2.5x
+    at 10^5.  At k = 10^5 (best of 7) the constructor takes about 4 ms
+    from float64 arrays and 9-13 ms from lists of floats.
     """
 
     def __init__(self, xs, vs, slope_left=None, slope_right=None, dom_lo=-INF, dom_hi=INF):
@@ -268,20 +325,24 @@ class PLProper(UpFunction):
         Collinear breakpoints are removed, and an affine function is
         anchored at x = 0.
         """
-        xs = list(map(float, xs))
-        vs = list(map(float, vs))
-        if len(xs) == 0 or len(xs) != len(vs):
-            raise ValueError("need equally many breakpoint positions and values, at least one")
-        # whole-list checks first; the loops run only on failure, to name the index
-        if not all(map(math.isfinite, xs)):
-            for i, x in enumerate(xs):
-                _require_finite(x, f"breakpoint x[{i}]")
-        if not all(map(math.isfinite, vs)):
-            for i, v in enumerate(vs):
-                _require_finite(v, f"breakpoint value v[{i}]")
-        if not _strictly_increasing(xs):
-            raise ValueError("breakpoints must be strictly increasing")
-        _require_finite_span(xs)
+        if len(xs) < ARRAY_MIN_K and not isinstance(xs, np.ndarray):
+            xs = list(map(float, xs))
+            vs = list(map(float, vs))
+            if len(xs) == 0 or len(xs) != len(vs):
+                raise ValueError("need equally many breakpoint positions and values, at least one")
+            # whole-list checks first; the loops run only on failure, to name the index
+            if not all(map(math.isfinite, xs)):
+                for i, x in enumerate(xs):
+                    _require_finite(x, f"breakpoint x[{i}]")
+            if not all(map(math.isfinite, vs)):
+                for i, v in enumerate(vs):
+                    _require_finite(v, f"breakpoint value v[{i}]")
+            if not _strictly_increasing(xs):
+                raise ValueError("breakpoints must be strictly increasing")
+            _require_finite_span(xs)
+            xa = None
+        else:
+            xs, vs, xa, va = _checked_arrays(xs, vs)
         sl = None if slope_left is None else _require_finite(slope_left, "slope_left")
         sr = None if slope_right is None else _require_finite(slope_right, "slope_right")
         dom_lo, dom_hi = float(dom_lo), float(dom_hi)
@@ -292,25 +353,31 @@ class PLProper(UpFunction):
         if dom_hi == INF and sr is None:
             raise ValueError("unbounded domain on the right needs slope_right")
 
+        # xs and vs are new lists here, so they are clipped in place; on the
+        # array route the arrays xa, va are clipped alongside them
         if dom_lo > -INF:
             if dom_lo < xs[0] and sl is None:
                 raise ValueError("dom_lo below the first breakpoint needs slope_left")
             v_at = _require_finite(_pl_value(xs, vs, sl, sr, dom_lo), "the value at dom_lo")
             i = bisect_right(xs, dom_lo)
-            xs, vs, sl = [dom_lo] + xs[i:], [v_at] + vs[i:], None
+            xs[:i], vs[:i], sl = [dom_lo], [v_at], None
+            if xa is not None:
+                xa, va = np.concatenate(([dom_lo], xa[i:])), np.concatenate(([v_at], va[i:]))
         if dom_hi < INF:
             if dom_hi > xs[-1] and sr is None:
                 raise ValueError("dom_hi above the last breakpoint needs slope_right")
             v_at = _require_finite(_pl_value(xs, vs, sl, sr, dom_hi), "the value at dom_hi")
             i = bisect_left(xs, dom_hi)
-            xs, vs, sr = xs[:i] + [dom_hi], vs[:i] + [v_at], None
+            xs[i:], vs[i:], sr = [dom_hi], [v_at], None
+            if xa is not None:
+                xa, va = np.concatenate((xa[:i], [dom_hi])), np.concatenate((va[:i], [v_at]))
 
         # drop collinear interior breakpoints in one pass: the stack holds a
         # prefix with none left, so a deletion only exposes the triple that
         # ends at the incoming point; s[k] is the chord slope from xs[k].
         # It pops nothing when no two neighbouring chord slopes are within
-        # COLLINEAR_TOL, which the size rule checks on arrays first
-        if len(xs) < ARRAY_MIN_K or _any_within_tol(s := _chords(xs, vs)[2]):
+        # COLLINEAR_TOL, which the array route checks first
+        if xa is None or _any_within_tol(s := _slopes(xa, va)):
             px, pv, s = xs[:1], vs[:1], []
             for x, v in zip(islice(xs, 1, None), islice(vs, 1, None)):
                 s1 = (v - pv[-1]) / (x - px[-1])
@@ -476,24 +543,25 @@ def _variant(f):
 
 
 def _fields(f):
-    """The canonical fields of the up-space function f, in key order, as one iterator.
+    """The canonical fields of the up-space function f, in key order, as a tuple of sequences.
 
-    ``lo``, ``hi`` of an ``ImproperSplit``; ``xs``, ``vs``, the end slopes
-    (None where absent) and the domain bounds of a ``PLProper``.
+    ``(lo, hi)`` of an ``ImproperSplit``; ``xs``, ``vs`` and ``(slope_left,
+    slope_right, dom_lo, dom_hi)`` (None where a slope is absent) of a
+    ``PLProper``.
     """
     if isinstance(f, PLProper):
-        return chain(f.xs, f.vs, (f.slope_left, f.slope_right, f.dom_lo, f.dom_hi))
-    return iter((f.lo, f.hi))
+        return f.xs, f.vs, (f.slope_left, f.slope_right, f.dom_lo, f.dom_hi)
+    return ((f.lo, f.hi),)
 
 
 def _key(f):
-    """The canonical key of the up-space function f: its variant name, then :func:`_fields`, as one tuple.
+    """The canonical key of the up-space function f: its variant name, then :func:`_fields`, as one flat tuple.
 
     Two ``PLProper`` keys of one length have equally many breakpoints, so
     their fields line up.  Raises TypeError for anything that is not an
     up-space function.
     """
-    return (_variant(f)[0], *_fields(f))
+    return (_variant(f)[0], *chain.from_iterable(_fields(f)))
 
 
 def _close(a, b, tol):
@@ -512,14 +580,18 @@ def fn_allclose(f, g, tol=1e-9):
     and relative above, and ``tol=0`` is ``==``, function equality.
     Raises TypeError when f or g is not an up-space function.
 
-    Variants and breakpoint counts are compared first; then the fields
-    are walked in step, and the walk stops at the first pair that differs.
+    Variants and breakpoint counts are compared first.  Then each
+    sequence of :func:`_fields` is compared with ``==``, at C speed, and
+    only one that differs is walked entry by entry; the walk stops at
+    the first pair that is not close.  Stored floats are never nan, so
+    sequence ``==`` is the walk's exact equality.
     """
     if _variant(f) != _variant(g):
         return False
     return all(
-        x == y or (isinstance(x, float) and isinstance(y, float) and _close(x, y, tol))
-        for x, y in zip(_fields(f), _fields(g))
+        p == q
+        or all(x == y or (isinstance(x, float) and isinstance(y, float) and _close(x, y, tol)) for x, y in zip(p, q))
+        for p, q in zip(_fields(f), _fields(g))
     )
 
 

@@ -53,6 +53,11 @@ MAX_TRIES = 400
 # Largest carrier: ``residual`` reads table entries as bytes.
 MAX_SIZE = 256
 
+# Entries per block of the validator's triple-axiom arrays: one block up
+# to n = 64, so a small carrier is checked in one pass, and 4 slabs of
+# 256 x 256 at n = 256, where one n^3 pass would hold 16.7 MB per array.
+SLAB_CELLS = 1 << 18
+
 
 def _to_index(index, label, where):
     try:
@@ -121,9 +126,12 @@ def _byte_rows(leq):
     return rows, {row[:n]: x for x, row in enumerate(rows)}
 
 
-def _shifted(leq, add):
-    """The compatibility gather: entry [i, j, w] is leq[add[i][w]][add[j][w]], whether i + w <= j + w."""
-    return leq[add[:, None, :], add[None, :, :]]
+def _shifted(leq, add, rows=slice(None)):
+    """The compatibility gather: entry [i, j, w] is leq[add[i][w]][add[j][w]], whether i + w <= j + w.
+
+    ``rows``, a slice, picks the i.
+    """
+    return leq[add[rows][..., None, :], add]
 
 
 class FiniteOrderedGroupoid:
@@ -133,7 +141,9 @@ class FiniteOrderedGroupoid:
     commutativity of the table, the partial-order axioms for ``leq``,
     and compatibility (u <= v implies u+w <= v+w).  Invalid input
     raises ValueError with the offending entries.  The triple axioms
-    (transitivity, compatibility) are two n^3 boolean array passes.
+    (transitivity, compatibility) are checked in blocks of n x n boolean
+    slabs, one per element, of at most ``SLAB_CELLS`` entries, so a large
+    carrier's validation never holds an n^3 array.
 
     A carrier has at most ``MAX_SIZE`` = 256 elements, so that every
     table entry fits in a byte; a larger one raises ValueError before its
@@ -203,21 +213,27 @@ class FiniteOrderedGroupoid:
         if bad.size:
             i, j = divmod(int(bad[0]), len(lab))
             raise ValueError(f"leq is not antisymmetric on ({lab[i]!r}, {lab[j]!r})")
-        # [i, j, k]: i <= j <= k but not i <= k; i <= j but not i+k <= j+k
-        below = leq[:, :, None]
-        intransitive = below & leq[None, :, :] & ~leq[:, None, :]
-        incompatible = below & ~_shifted(leq, add)
-        bad = np.flatnonzero(intransitive | incompatible)
-        if bad.size:
-            i, j, k = np.unravel_index(bad[0], intransitive.shape)
-            if intransitive[i, j, k]:
+        # [i, j, k]: i <= j <= k but not i <= k; i <= j but not i+k <= j+k,
+        # over blocks of whole i-slabs of at most SLAB_CELLS entries in all
+        n = len(lab)
+        step = max(1, SLAB_CELLS // (n * n))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            below = leq[rows, :, None]
+            intransitive = below & leq & ~leq[rows, None, :]
+            incompatible = below & ~_shifted(leq, add, rows)
+            bad = np.flatnonzero(intransitive | incompatible)
+            if bad.size:
+                b, j, k = np.unravel_index(bad[0], intransitive.shape)
+                i = lo + b
+                if intransitive[b, j, k]:
+                    raise ValueError(
+                        f"leq is not transitive: {lab[i]!r} <= {lab[j]!r} <= {lab[k]!r}"
+                    )
                 raise ValueError(
-                    f"leq is not transitive: {lab[i]!r} <= {lab[j]!r} <= {lab[k]!r}"
+                    f"order incompatible with addition: {lab[i]!r} <= {lab[j]!r} "
+                    f"but adding {lab[k]!r} breaks it"
                 )
-            raise ValueError(
-                f"order incompatible with addition: {lab[i]!r} <= {lab[j]!r} "
-                f"but adding {lab[k]!r} breaks it"
-            )
 
     # -- order queries on bitmasks --------------------------------------------
 

@@ -1,14 +1,18 @@
 import itertools
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from infsup import extreal as xr
+from infsup import groupoid
 from infsup.groupoid import (
     CONDITIONS,
     MAX_SIZE,
     MAX_WITNESSES,
+    SLAB_CELLS,
     FiniteOrderedGroupoid,
     ConditionReport,
     _c_failure,
@@ -195,7 +199,7 @@ def _validation_error(carrier, add, leq):
     return None
 
 
-def test_validation_names_the_first_fault_in_loop_order():
+def test_validation_names_the_first_fault_in_loop_order(monkeypatch):
     # a <= b <= c without a <= c breaks transitivity at (a, b, c); earlier,
     # a <= b but a + a = c is not below b + a = a breaks compatibility at (a, b, a)
     carrier = ["a", "b", "c"]
@@ -204,23 +208,39 @@ def test_validation_names_the_first_fault_in_loop_order():
     want = "order incompatible with addition: 'a' <= 'b' but adding 'a' breaks it"
     assert _loop_validation_error(carrier, add, leq) == want
     assert _validation_error(carrier, add, leq) == want
-    # random draws with a few entries flipped hit every axiom, at n <= 5
-    rng = np.random.default_rng(3)
-    seen = set()
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
-        add, leq = _random_tables(rng, n)
-        for _ in range(int(rng.integers(0, 3))):
-            i, j, k = (int(x) for x in rng.integers(n, size=3))
-            if rng.random() < 0.5:
-                leq[i][j] = not leq[i][j]
-            else:
-                add[i][j] = k
-        carrier = [f"e{i}" for i in range(n)]
-        want = _loop_validation_error(carrier, add, leq)
-        assert _validation_error(carrier, add, leq) == want, (add, leq)
-        seen.add(next((a for a in AXIOMS if want and a in want), want))
-    assert seen == {None, *AXIOMS}
+    # random draws with a few entries flipped hit every axiom, at n <= 5; the
+    # triple axioms run in blocks of one slab, of 1-4 slabs and in one block
+    for cells in (1, 40, SLAB_CELLS):
+        monkeypatch.setattr(groupoid, "SLAB_CELLS", cells)
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            add, leq = _random_tables(rng, n)
+            for _ in range(int(rng.integers(0, 3))):
+                i, j, k = (int(x) for x in rng.integers(n, size=3))
+                if rng.random() < 0.5:
+                    leq[i][j] = not leq[i][j]
+                else:
+                    add[i][j] = k
+            carrier = [f"e{i}" for i in range(n)]
+            want = _loop_validation_error(carrier, add, leq)
+            assert _validation_error(carrier, add, leq) == want, (cells, add, leq)
+            seen.add(next((a for a in AXIOMS if want and a in want), want))
+        assert seen == {None, *AXIOMS}, cells
+
+
+def test_validation_holds_no_cubic_array():
+    # one n^3 boolean array of the 256-chain is 16.7 MB; the validator's
+    # blocks keep the whole build, tables included, below that
+    n = MAX_SIZE
+    tracemalloc.start()
+    try:
+        G = saturating((n,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.size == n and peak < n**3
 
 
 def test_structures_reject_bad_shapes():

@@ -17,6 +17,14 @@ have exactly tied chord slopes, L and R cuts that drop chords at both
 ends, an R that ties a chord exactly, and two right-bounded operands
 (R = +inf).  Values sit near 1e6, so that sums round and a vertex
 placed by a wrong tie order survives the prune.
+
+The transforms hand the constructor float64 arrays, and it checks an
+array input on arrays at every size.  So every input above is also built
+from arrays, and must read as it does from lists, with the rule in place
+and with the stack forced; a bounded domain clips one below the rule.
+Every stored breakpoint list holds Python floats, every constructor
+error reads the same from arrays as from lists, and a list input keeps
+the caller's own float objects.
 """
 
 import re
@@ -67,6 +75,10 @@ def _single_inputs(k):
     d[k // 2 + 1] = d[k // 2] - 1e-9
     out["one-descent"] = _args(x, _values(x, d), d[0], d[-1])
     out["non-convex"] = _args(x, _values(x, rng.uniform(-50.0, 50.0, k + 1)), -60.0, 60.0)
+    if k >= 4:
+        # bounds between breakpoints that keep fewer than ARRAY_MIN_K of them
+        m = min(k - 3, ARRAY_MIN_K // 2)
+        out["clipped"] = _args(x, v, s[0], s[-1], float(x[1] + x[2]) / 2.0, float(x[m] + x[m + 1]) / 2.0)
     return out
 
 
@@ -134,6 +146,12 @@ def _record(monkeypatch, name, sink):
         monkeypatch.setattr(calculus, name, recorded)
 
 
+def _force_the_stack(monkeypatch):
+    """Raise the size rule above every size, so that every list input runs the stack loops."""
+    for module in (functions, calculus):
+        monkeypatch.setattr(module, "ARRAY_MIN_K", 10**9)
+
+
 @pytest.mark.parametrize("k", sorted({2, 16, ARRAY_MIN_K - 1, ARRAY_MIN_K, 256, 10**4}))
 def test_array_routes_match_the_stack_bit_for_bit(k, monkeypatch):
     within, hulled = set(), []
@@ -147,8 +165,7 @@ def test_array_routes_match_the_stack_bit_for_bit(k, monkeypatch):
     if k >= ARRAY_MIN_K:
         # the prune's array test both skipped its stack and fell back to it
         assert within == {True, False}
-    for module in (functions, calculus):
-        monkeypatch.setattr(module, "ARRAY_MIN_K", 10**9)
+    _force_the_stack(monkeypatch)
     assert _outputs(k)[0] == fast
 
 
@@ -169,3 +186,84 @@ def test_an_infinite_chord_slope_is_rejected(monkeypatch):
     monkeypatch.setattr(functions, "ARRAY_MIN_K", 10**9)
     with pytest.raises(ValueError, match=message):
         PLProper(*args)
+
+
+def _as_arrays(args):
+    """Constructor arguments with xs and vs as float64 arrays, the form the transforms pass."""
+    return (np.array(args[0]), np.array(args[1]), *args[2:])
+
+
+def _stores_floats(f):
+    """Whether f stores lists of Python floats (no numpy scalars), if it stores breakpoints at all."""
+    return not isinstance(f, PLProper) or all(
+        type(a) is list and all(type(t) is float for t in a) for a in (f.xs, f.vs)
+    )
+
+
+ROUTE_KS = sorted({ARRAY_MIN_K - 1, ARRAY_MIN_K, 10**4})
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["rule", "stack"])
+@pytest.mark.parametrize("k", sorted({2, 16, *ROUTE_KS}))
+def test_array_inputs_build_what_list_inputs_build(k, stack, monkeypatch):
+    if stack:
+        _force_the_stack(monkeypatch)
+    for name, args in _single_inputs(k).items():
+        f, g = PLProper(*args), PLProper(*_as_arrays(args))
+        assert repr(g) == repr(f), name
+        out = [f, g, conjugate_curve(f).curve, biconjugate(f)]
+        assert all(_stores_floats(h) for h in out), name
+    for name, (f, g) in _pairs(k).items():
+        assert _stores_floats(infconv(f, g)), name
+
+
+def _bad_inputs(k):
+    """Constructor arguments with about k breakpoints that fail, one check each, by name."""
+    x = np.arange(k, dtype=float)
+    v = x * x / k
+    out = {"lengths": _args(x, v[:-1], -1.0, 3.0)}
+    for name, i in (("x-nan", k // 2), ("x-inf", k - 1)):
+        bad = x.copy()
+        bad[i] = np.nan if name == "x-nan" else np.inf
+        out[name] = _args(bad, v, -1.0, 3.0)
+    for name, i in (("v-inf", 0), ("v-nan", k // 3)):
+        bad = v.copy()
+        bad[i] = -np.inf if name == "v-inf" else np.nan
+        out[name] = _args(x, bad, -1.0, 3.0)
+    bad = x.copy()
+    bad[k // 2] = bad[k // 2 - 1]
+    out["not-increasing"] = _args(bad, v, -1.0, 3.0)
+    # one chord across 0 is longer than the largest float
+    wide = np.concatenate((np.linspace(-1e308, -9e307, k // 2), np.linspace(9e307, 1e308, k - k // 2)))
+    out["span"] = _args(wide, v, -1.0, 3.0)
+    out["value-at-dom-lo"] = _args(x, v, 1e300, 3.0, -1e300)
+    out["needs-slope"] = (x.tolist(), v.tolist(), -1.0, None, -INF, float(k))
+    # the last two chords are steeper than the largest float
+    steep, high = x.copy(), v.copy()
+    steep[-2:] = steep[-3] + np.array([1e-10, 2e-10])
+    high[-2:] = [1e300, 1.5e300]
+    out["chord-slope"] = (steep.tolist(), high.tolist(), -1.0, None, -INF, float(steep[-1]))
+    return out
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["rule", "stack"])
+@pytest.mark.parametrize("k", ROUTE_KS)
+def test_array_inputs_raise_what_list_inputs_raise(k, stack, monkeypatch):
+    if stack:
+        _force_the_stack(monkeypatch)
+    for name, args in _bad_inputs(k).items():
+        want = _read(PLProper, *args)
+        assert want.startswith("ValueError: "), (name, want)
+        assert _read(PLProper, *_as_arrays(args)) == want, name
+
+
+@pytest.mark.parametrize("k", [ARRAY_MIN_K, 10**4])
+def test_list_inputs_keep_the_callers_floats(k):
+    # storing copies would hold every breakpoint twice while the caller
+    # keeps its lists, as a transform's operand does
+    for name in ("convex", "non-convex"):
+        xs, vs, *rest = _single_inputs(k)[name]
+        f = PLProper(xs, vs, *rest)
+        assert len(f.xs) == len(xs), name
+        for i in np.random.default_rng(k).integers(len(xs), size=20):
+            assert f.xs[i] is xs[i] and f.vs[i] is vs[i], (name, i)
