@@ -10,7 +10,11 @@ convolution.  Expected values quoted as frozen numbers were computed
 by hand from the definitions.
 """
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +72,7 @@ from infsup.laws import (
     random_nonconvex_pl,
     random_pl,
 )
+from test_size_rule import _record, _single_inputs
 
 INF = math.inf
 
@@ -1033,6 +1038,98 @@ class TestBiconjugate:
         assert isinstance(biconjugate(ConstBottom()), ConstBottom)
         out = biconjugate(improper_split(0.0, 5.0))
         assert fn_allclose(out, improper_split(0.0, 5.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The transform memo.
+# ---------------------------------------------------------------------------
+
+
+def _memo_inputs():
+    """Functions of both sizes of the size rule, convex and not, built fresh on each call."""
+    out = []
+    for k in (16, 300):
+        out += [PLProper(*args) for args in _single_inputs(k).values()]
+    return out + mixed_corpus(1201, 40)
+
+
+class TestTransformMemo:
+    def test_one_curve_while_held_and_none_kept_after(self):
+        fns = [f for f in _memo_inputs() if isinstance(f, PLProper)]
+        curves = [conjugate_curve(f).curve for f in fns]
+        assert all(conjugate_curve(f).curve is c for f, c in zip(fns, curves))
+        texts, refs = [repr(c) for c in curves], [weakref.ref(c) for c in curves]
+        del curves
+        gc.collect()
+        # the functions hold their curves only weakly
+        assert all(ref() is None for ref in refs)
+        assert [repr(conjugate_curve(f).curve) for f in fns] == texts
+        assert all(ref() is None for ref in refs)
+
+    def test_round_trip_transforms_a_convex_function_once(self, monkeypatch):
+        # the operands of the transforms computed behind the memo
+        transformed = []
+        _record(monkeypatch, "_legendre", lambda args, out: transformed.append(id(args[0])))
+        n_convex = n_nonconvex = 0
+        for f in _memo_inputs():
+            transformed.clear()
+            g = closure_hull(f)
+            cc = conjugate_curve(f)
+            biconjugate(f)
+            subdiff_conjugate_check(g, f.xs[0] if isinstance(f, PLProper) else 0.0)
+            operands = [h for h in (f, cc.curve) if isinstance(h, PLProper)]
+            if f.is_convex():
+                # the hull of a convex function is the function itself
+                assert g is f, f
+                n_convex += isinstance(f, PLProper)
+            elif isinstance(g, PLProper):
+                operands.append(g)
+                n_nonconvex += 1
+            assert sorted(transformed) == sorted(id(h) for h in operands), f
+        assert n_convex >= 20 and n_nonconvex >= 10
+
+    def test_biconjugate_reads_the_same_with_a_held_curve(self):
+        def fresh_pairs():
+            for k in (2, 16, 300, 10**4):
+                for args in _single_inputs(k).values():
+                    yield PLProper(*args), PLProper(*args)
+            rngs = np.random.default_rng(1202), np.random.default_rng(1202)
+            for i in range(2000):
+                draw = random_closed_convex_fn if i % 2 else random_nonconvex_pl
+                yield draw(rngs[0]), draw(rngs[1])
+
+        hits = 0
+        for cold, warm in fresh_pairs():
+            assert cold is not warm and repr(cold) == repr(warm)
+            cc = conjugate_curve(warm)
+            text = repr(biconjugate(warm))
+            if isinstance(warm, PLProper):
+                # the curve above came from the memo, not from a second transform
+                assert conjugate_curve(warm).curve is cc.curve
+                hits += isinstance(cc.curve, PLProper)
+            assert text == repr(biconjugate(cold)), warm
+        assert hits >= 1000
+
+    def test_a_memo_hit_keeps_the_attribute_layout(self):
+        for args in _single_inputs(300).values():
+            fresh, used = PLProper(*args), PLProper(*args)
+            cc = conjugate_curve(used)
+            biconjugate(used)
+            assert isinstance(used._conjugate, weakref.ref) and fresh._conjugate is None
+            assert list(vars(used)) == list(vars(fresh))
+            assert list(vars(cc.curve)) == list(vars(fresh))
+
+    def test_pickle_and_deepcopy_after_a_memo_hit(self):
+        for f in _memo_inputs():
+            cc = conjugate_curve(f)
+            b = biconjugate(f)
+            for h in (f, cc.curve, b):
+                for out in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+                    assert type(out) is type(h) and out == h and repr(out) == repr(h), h
+                    if isinstance(h, PLProper):
+                        assert out._conjugate is None and list(vars(out)) == list(vars(h)), h
+                        assert out.is_convex() == h.is_convex()
+                        assert repr(conjugate_curve(out).curve) == repr(conjugate_curve(h).curve), h
 
 
 def test_entry_points_reject_foreign_arguments():

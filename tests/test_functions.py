@@ -1111,6 +1111,44 @@ def test_the_key_decides_like_the_field_ladder():
             assert f != g or hash(f) == hash(g), (f, g)
 
 
+def _eq_cases():
+    """Pairs of up-space functions for ``==``: laws draws, large equal copies and near misses."""
+    rng = np.random.default_rng(17)
+    draws = [random_closed_convex_fn(rng) for _ in range(60)] + [random_pl(rng) for _ in range(60)]
+    pairs = [(f, g) for f in draws for g in draws[:20]]
+    # two equal functions of 10^5 breakpoints built from separate lists
+    x = np.cumsum(rng.uniform(0.5, 1.5, 10**5))
+    v = np.cumsum(np.sort(rng.uniform(-50.0, 50.0, 10**5)) * 0.5)
+    f = PLProper(x.tolist(), v.tolist(), -60.0, 60.0)
+    pairs.append((f, PLProper(x.tolist(), v.tolist(), -60.0, 60.0)))
+    # pairs that differ only in the first x, the last v, or one end slope
+    x2, v2 = x.tolist(), v.tolist()
+    x2[0] -= 0.25
+    pairs.append((f, PLProper(x2, v.tolist(), -60.0, 60.0)))
+    v2[-1] += 1.0
+    pairs.append((f, PLProper(x.tolist(), v2, -60.0, 60.0)))
+    pairs.append((f, PLProper(x.tolist(), v.tolist(), -60.0, 61.0)))
+    pairs.append((f, PLProper(x.tolist(), v.tolist(), -61.0, 60.0)))
+    # signed zeros
+    pairs.append((PLProper([-0.0, 1.0], [-0.0, 1.0], -1.0, 2.0), PLProper([0.0, 1.0], [0.0, 1.0], -1.0, 2.0)))
+    pairs.append((improper_split(-0.0, 1.0), improper_split(0.0, 1.0)))
+    pairs.append((PLProper([0.0, 1.0], [0.0, 1.0], None, 2.0, dom_lo=-0.0), PLProper([0.0, 1.0], [0.0, 1.0], None, 2.0, dom_lo=0.0)))
+    return pairs
+
+
+def test_eq_compares_as_the_keys_do():
+    pairs = _eq_cases()
+    outcomes = set()
+    for f, g in pairs:
+        want = functions._key(f) == functions._key(g)
+        assert (f == g) is want and (g == f) is want and (f != g) is not want, (f, g)
+        outcomes.add((isinstance(f, PLProper) and len(f.xs) == 10**5, want))
+    # every large pair but the first differs; the draws hold equal and unequal pairs
+    assert [f == g for f, g in pairs[-7:-3]] == [False] * 4
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+    assert pairs[-3][0] == pairs[-3][1] and pairs[-2][0] == pairs[-2][1]
+
+
 def test_a_set_of_distinct_functions_builds_fast():
     rng = np.random.default_rng(0)
     fns = [PLProper([0.0, 1.0], [0.0, float(v)], -1.0, 4.0) for v in rng.permutation(3000)]

@@ -25,6 +25,11 @@ and with the stack forced; a bounded domain clips one below the rule.
 Every stored breakpoint list holds Python floats, every constructor
 error reads the same from arrays as from lists, and a list input keeps
 the caller's own float objects.
+
+``calculus._pl_legendre`` keeps each function's transform while a
+caller holds it, so a comparison of routes is real only when each route
+transforms functions of its own.  Each route builds fresh functions, and
+the tests check that every one of them was transformed on that route.
 """
 
 import re
@@ -133,17 +138,17 @@ def _outputs(k):
 
 
 def _record(monkeypatch, name, sink):
-    """Wrap the helper ``name`` in both modules so that each call also runs sink(args, output)."""
-    inner = getattr(functions, name)
+    """Wrap the helper ``name`` in each module that has it so that each call also runs sink(args, output)."""
+    modules = [m for m in (functions, calculus) if hasattr(m, name)]
+    inner = getattr(modules[0], name)
 
     def recorded(*args):
         out = inner(*args)
         sink(args, out)
         return out
 
-    monkeypatch.setattr(functions, name, recorded)
-    if hasattr(calculus, name):
-        monkeypatch.setattr(calculus, name, recorded)
+    for module in modules:
+        monkeypatch.setattr(module, name, recorded)
 
 
 def _force_the_stack(monkeypatch):
@@ -166,7 +171,14 @@ def test_array_routes_match_the_stack_bit_for_bit(k, monkeypatch):
         # the prune's array test both skipped its stack and fell back to it
         assert within == {True, False}
     _force_the_stack(monkeypatch)
-    assert _outputs(k)[0] == fast
+    transformed = []
+    _record(monkeypatch, "_legendre", lambda args, out: transformed.append(args[0]))
+    slow, slow_fns = _outputs(k)
+    # each route builds its own functions, and each of them is transformed
+    # on the forced route: no memo of the first route serves the second
+    assert not {id(f) for f in fns.values()} & {id(f) for f in slow_fns.values()}
+    assert {id(f) for f in slow_fns.values()} <= {id(h) for h in transformed}
+    assert slow == fast
 
 
 def test_an_infinite_chord_slope_is_rejected(monkeypatch):
@@ -208,11 +220,16 @@ ROUTE_KS = sorted({ARRAY_MIN_K - 1, ARRAY_MIN_K, 10**4})
 def test_array_inputs_build_what_list_inputs_build(k, stack, monkeypatch):
     if stack:
         _force_the_stack(monkeypatch)
+    transformed = []
+    _record(monkeypatch, "_legendre", lambda args, out: transformed.append(args[0]))
     for name, args in _single_inputs(k).items():
         f, g = PLProper(*args), PLProper(*_as_arrays(args))
         assert repr(g) == repr(f), name
+        transformed.clear()
         out = [f, g, conjugate_curve(f).curve, biconjugate(f)]
         assert all(_stores_floats(h) for h in out), name
+        # f is new here, so its curve and the curve's transform were both computed
+        assert [id(h) for h in transformed] == [id(h) for h in out[::2] if isinstance(h, PLProper)], name
     for name, (f, g) in _pairs(k).items():
         assert _stores_floats(infconv(f, g)), name
 
